@@ -43,14 +43,17 @@ records ``vector_refs_per_s`` / ``vector_speedup`` (vs reference) /
 absent and a ``provenance`` entry records ``"numpy": "absent"`` so a
 reader of the JSON knows *why*.
 
-Every scenario also times the per-config specialized miss path
-(:class:`~repro.sim.specialized.SpecializedEngine` — no optional
-dependencies) and records ``specialized_refs_per_s`` /
-``specialized_speedup`` (vs reference) / ``specialized_vs_runahead``.
-``--profile`` additionally runs the four miss-dominated scenarios under
-cProfile and records each engine's ``_miss`` share of run wall time in
-a ``profile`` section — the fraction of the run the specialization can
-actually touch, which bounds its possible win.
+Each scenario runs the engines interleaved, one run of each per round.
+The refs/s columns are best-of-rounds; the speedup and ``vector_vs_*``
+columns are medians of the per-round ratios, so a host slowdown that
+spans a round cancels out of them.
+
+The run-ahead columns time :class:`~repro.sim.engine.SimulationEngine`
+as users run it: on its compiled core when one can be built (the
+``provenance`` block's ``native_core.status`` records whether it was
+active).  ``--profile`` additionally runs the four miss-dominated
+scenarios on the engine's Python loop under cProfile and records the
+``_miss`` share of run wall time in a ``profile`` section.
 
 Results are also written as ``benchmarks/BENCH_engine.json`` by
 ``python -m benchmarks.bench_engine`` so the refs/sec trajectory is
@@ -66,6 +69,7 @@ stream, miss stream, legacy object-trace input, executor fan-out).
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -77,7 +81,6 @@ from repro.experiments.executor import Executor, Job
 from repro.experiments.runner import ResultCache
 from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.reference import ReferenceEngine
-from repro.sim.specialized import SpecializedEngine
 from repro.sim.vector import VectorEngine, numpy_available
 from repro.workloads.compile import CompiledProgram
 from repro.workloads.registry import build_program
@@ -220,19 +223,43 @@ def _page_thrash_config() -> SystemConfig:
     )
 
 
-def _time_engine(engine_cls, config, program, repeats: int):
-    """Best-of-N wall time of ``run()`` alone; returns (result, dt, sched)."""
-    best = None
-    result = None
-    sched = None
-    for _ in range(repeats):
+#: A timed sample repeats a run on fresh engines until it has taken at
+#: least this long, so sub-millisecond runs are not timed one at a time.
+MIN_SAMPLE_S = 0.05
+
+
+def _time_run(engine_cls, config, program):
+    """Mean wall time of ``run()`` alone over one sample; returns
+    (result, dt, sched)."""
+    total = 0.0
+    runs = 0
+    while total < MIN_SAMPLE_S:
         engine = engine_cls(config, program)
         t0 = time.perf_counter()
         result = engine.run()
-        dt = time.perf_counter() - t0
-        sched = engine.sched_stats
-        best = dt if best is None else min(best, dt)
-    return result, best, sched
+        total += time.perf_counter() - t0
+        runs += 1
+    return result, total / runs, engine.sched_stats
+
+
+def _time_engines(engine_classes, config, program, repeats: int):
+    """Time each engine class, interleaved: every round takes one
+    sample of each, so a host slowdown lands on all of them.  Returns
+    one (result, per-round times, sched) per class."""
+    times = [[] for _ in engine_classes]
+    last = [None] * len(engine_classes)
+    for _ in range(repeats):
+        for i, engine_cls in enumerate(engine_classes):
+            result, dt, sched = _time_run(engine_cls, config, program)
+            times[i].append(dt)
+            last[i] = (result, sched)
+    return [(r, ts, sched) for (r, sched), ts in zip(last, times)]
+
+
+def _paired_ratio(num, den) -> float:
+    """Median over rounds of ``num[i] / den[i]``: a speed ratio that
+    host-speed drift between rounds cancels out of."""
+    return statistics.median(n / d for n, d in zip(num, den))
 
 
 def _results_identical(a, b) -> bool:
@@ -246,12 +273,11 @@ def _results_identical(a, b) -> bool:
 
 
 def _compare(config, program, repeats: int) -> dict:
-    fast_r, fast_dt, fast_sched = _time_engine(
-        SimulationEngine, config, program, repeats
-    )
-    slow_r, slow_dt, slow_sched = _time_engine(
-        ReferenceEngine, config, program, repeats
-    )
+    engines = [SimulationEngine, ReferenceEngine]
+    if numpy_available():
+        engines.append(VectorEngine)
+    timed = _time_engines(engines, config, program, repeats)
+    (fast_r, fast_ts, fast_sched), (slow_r, slow_ts, slow_sched) = timed[:2]
     assert _results_identical(fast_r, slow_r), (
         "run-ahead and reference engines disagree — benchmark void"
     )
@@ -260,9 +286,9 @@ def _compare(config, program, repeats: int) -> dict:
     row = {
         "refs": refs,
         "miss_rate": fast_r.total("l1_misses") / refs if refs else 0.0,
-        "runahead_refs_per_s": refs / fast_dt,
-        "reference_refs_per_s": refs / slow_dt,
-        "speedup": slow_dt / fast_dt,
+        "runahead_refs_per_s": refs / min(fast_ts),
+        "reference_refs_per_s": refs / min(slow_ts),
+        "speedup": _paired_ratio(slow_ts, fast_ts),
         "heap_ops_per_ref": heap_ops / refs if refs else 0.0,
         "reference_heap_ops_per_ref": (
             (slow_sched["heap_pops"] + slow_sched["heap_pushes"]) / refs
@@ -271,25 +297,14 @@ def _compare(config, program, repeats: int) -> dict:
         ),
         "mean_run_length": refs / fast_sched["drains"] if fast_sched["drains"] else 0.0,
     }
-    spec_r, spec_dt, _spec_sched = _time_engine(
-        SpecializedEngine, config, program, repeats
-    )
-    assert _results_identical(spec_r, slow_r), (
-        "specialized and reference engines disagree — benchmark void"
-    )
-    row["specialized_refs_per_s"] = refs / spec_dt
-    row["specialized_speedup"] = slow_dt / spec_dt
-    row["specialized_vs_runahead"] = fast_dt / spec_dt
     if numpy_available():
-        vec_r, vec_dt, vec_sched = _time_engine(
-            VectorEngine, config, program, repeats
-        )
+        vec_r, vec_ts, vec_sched = timed[2]
         assert _results_identical(vec_r, slow_r), (
             "vector and reference engines disagree — benchmark void"
         )
-        row["vector_refs_per_s"] = refs / vec_dt
-        row["vector_speedup"] = slow_dt / vec_dt
-        row["vector_vs_runahead"] = fast_dt / vec_dt
+        row["vector_refs_per_s"] = refs / min(vec_ts)
+        row["vector_speedup"] = _paired_ratio(slow_ts, vec_ts)
+        row["vector_vs_runahead"] = _paired_ratio(fast_ts, vec_ts)
         # Classification work per settled reference: > 1 means the
         # affected-set re-predictions are reclassifying words.
         row["vector_classify_per_ref"] = (
@@ -382,6 +397,13 @@ def assert_engine_win(
         assert scenarios["miss_stream"]["speedup"] >= 1.2
 
 
+#: the comparison ``benchmarks/smoke.py`` runs in CI, and records in
+#: the ``smoke`` section of BENCH_engine.json for its gates.
+SMOKE_SCALE = 0.1
+SMOKE_REPEATS = 5
+#: comparisons whose median BENCH_engine.json records as the baseline
+SMOKE_RECORDS = 3
+
 #: scenarios whose whole point is the miss path (smoke gates on these)
 MISS_SCENARIOS = ("miss_stream", "migratory", "page_thrash")
 
@@ -451,40 +473,9 @@ def assert_vector_floor(
     return measured
 
 
-#: scenarios the specialized-backend floor tracks: the issue's four
-#: acceptance scenarios (the end-to-end mix plus the three
-#: miss-dominated streams the specialization targets).
-SPECIALIZED_SCENARIOS = ("app", "miss_stream", "migratory", "page_thrash")
-
-
-def assert_specialized_floor(
-    numbers: dict, recorded: dict, tolerance: float = 0.9
-) -> float:
-    """CI gate: the specialized backend's standing vs run-ahead must
-    not regress >10% against the recorded ``BENCH_engine.json``.
-
-    Same geomean construction as :func:`assert_vector_floor`, over
-    ``specialized_vs_runahead`` for :data:`SPECIALIZED_SCENARIOS`.
-    Skips (returns 0.0) when the recorded JSON predates the specialized
-    columns.  Returns the measured geomean.
-    """
-    measured = 1.0
-    baseline = 1.0
-    for name in SPECIALIZED_SCENARIOS:
-        m = numbers["scenarios"][name].get("specialized_vs_runahead")
-        b = recorded["scenarios"][name].get("specialized_vs_runahead")
-        if m is None or b is None:
-            return 0.0
-        measured *= m
-        baseline *= b
-    measured **= 1 / len(SPECIALIZED_SCENARIOS)
-    baseline **= 1 / len(SPECIALIZED_SCENARIOS)
-    floor = tolerance * baseline
-    assert measured >= floor, (
-        f"specialized-engine speedup geomean {measured:.2f}x regressed below "
-        f"{floor:.2f}x (recorded {baseline:.2f}x - 10%)"
-    )
-    return measured
+#: the miss-dominated scenarios ``--profile`` attributes (plus the
+#: end-to-end mix).
+PROFILE_SCENARIOS = ("app", "miss_stream", "migratory", "page_thrash")
 
 
 def run_obs_overhead(scale: float = 0.1, repeats: int = 9) -> dict:
@@ -573,18 +564,18 @@ def assert_obs_off_floor(numbers: dict, tolerance: float = 0.02) -> float:
 def profile_miss_share(scale: float = 0.25) -> dict:
     """Per-scenario ``_miss`` share of run wall time, under cProfile.
 
-    For each of :data:`SPECIALIZED_SCENARIOS`, runs the run-ahead and
-    specialized engines once under the profiler and reports the
-    cumulative time spent in ``_miss`` (the interpreted method or the
-    generated closure — callees included) as a fraction of the whole
-    run.  That fraction bounds what miss-path specialization can win:
-    a scenario at 0.5 caps the end-to-end speedup at 2x even for a
-    free ``_miss``.  cProfile's per-call overhead inflates call-heavy
-    code, so these shares are for *attribution*, not for cross-engine
-    speedup claims — the wall-clock columns above are the comparison.
+    For each of :data:`PROFILE_SCENARIOS`, runs the run-ahead engine's
+    Python loop once under the profiler (the compiled core is opaque
+    to it) and reports the cumulative time spent in ``_miss`` (callees
+    included) as a fraction of the whole run.  cProfile's per-call
+    overhead inflates call-heavy code, so these shares are for
+    *attribution*, not for speedup claims — the wall-clock columns
+    above are the comparison.
     """
     import cProfile
     import pstats
+
+    from repro.sim import native
 
     n = max(2000, int(200000 * scale))
     cc = _config(machine=PAPER_MACHINE)
@@ -598,13 +589,11 @@ def profile_miss_share(scale: float = 0.25) -> dict:
         ),
     }
     report = {}
-    for name, (config, program) in cases.items():
-        row = {}
-        for label, engine_cls in (
-            ("runahead", SimulationEngine),
-            ("specialized", SpecializedEngine),
-        ):
-            engine = engine_cls(config, program)
+    saved = native._force_python
+    native._force_python = True
+    try:
+        for name, (config, program) in cases.items():
+            engine = SimulationEngine(config, program)
             profiler = cProfile.Profile()
             profiler.enable()
             engine.run()
@@ -620,8 +609,9 @@ def profile_miss_share(scale: float = 0.25) -> dict:
                 ),
                 default=0.0,
             )
-            row[f"{label}_miss_share"] = miss / total if total else 0.0
-        report[name] = row
+            report[name] = {"runahead_miss_share": miss / total if total else 0.0}
+    finally:
+        native._force_python = saved
     return report
 
 
@@ -687,14 +677,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     scale = args.scale_pos if args.scale_pos is not None else args.scale
 
+    # Also record the smoke configuration: every engine's standing
+    # depends on run *length* (short runs amortize less set-up), so
+    # CI's scale-0.1 measurement needs a scale-0.1 baseline to be
+    # compared against.  It runs first, in a process as fresh as the
+    # smoke's own (after the full-scale runs the vector engine reads a
+    # few percent faster), and records the median of a few
+    # comparisons, so one noisy pass does not set CI's floors.
+    smoke = [
+        run_engine_comparison(scale=SMOKE_SCALE, repeats=SMOKE_REPEATS)["scenarios"]
+        for _ in range(SMOKE_RECORDS)
+    ]
     numbers = run_engine_comparison(scale=scale, repeats=args.repeats)
     assert_engine_win(numbers)
-    # Also record the smoke scale: the vector engine's standing vs
-    # run-ahead depends on run *length* (short runs amortize less of
-    # the per-epoch setup), so CI's scale-0.1 measurement needs a
-    # scale-0.1 baseline to be compared against.
-    smoke = run_engine_comparison(scale=0.1, repeats=2)
-    numbers["smoke"] = {"scale": smoke["scale"], "scenarios": smoke["scenarios"]}
+    numbers["smoke"] = {
+        "scale": SMOKE_SCALE,
+        "scenarios": {
+            name: {
+                column: statistics.median(run[name][column] for run in smoke)
+                for column in smoke[0][name]
+            }
+            for name in smoke[0]
+        },
+    }
     # Record the disabled-instrumentation cost alongside (and gate it:
     # a BENCH refresh must not land a tax on the plain hot path).
     # More repeats than the engine comparison: the 2% tolerance needs
@@ -711,7 +716,6 @@ def main(argv=None) -> int:
             f"speedup {s['speedup']:.2f}x  heap_ops/ref {s['heap_ops_per_ref']:.4f}  "
             f"mean_run {s['mean_run_length']:.1f}  miss {s['miss_rate'] * 100:.1f}%"
         )
-        line += f"  specialized {s['specialized_vs_runahead']:.2f}x vs run-ahead"
         if "vector_vs_runahead" in s:
             line += (
                 f"  vector {s['vector_refs_per_s'] / 1e3:8.0f}k "
@@ -721,9 +725,8 @@ def main(argv=None) -> int:
     if args.profile:
         for name, row in numbers["profile"].items():
             print(
-                f"{name:14s} _miss share: runahead "
-                f"{row['runahead_miss_share'] * 100:.0f}%  specialized "
-                f"{row['specialized_miss_share'] * 100:.0f}%"
+                f"{name:14s} _miss share (Python loop): "
+                f"{row['runahead_miss_share'] * 100:.0f}%"
             )
     if not numpy_available():
         print("NumPy absent: vector-engine columns skipped")

@@ -61,18 +61,18 @@ def main() -> int:
     from benchmarks.bench_engine import (
         BENCH_JSON,
         MISS_SCENARIOS,
-        SPECIALIZED_SCENARIOS,
+        SMOKE_REPEATS,
+        SMOKE_SCALE,
         VECTOR_SCENARIOS,
         assert_engine_win,
         assert_miss_path_floor,
-        assert_specialized_floor,
         assert_vector_floor,
         measure_allocations,
         numpy_available,
         run_engine_comparison,
     )
 
-    numbers = run_engine_comparison(scale=0.1, repeats=2)
+    numbers = run_engine_comparison(scale=SMOKE_SCALE, repeats=SMOKE_REPEATS)
     assert_engine_win(numbers, serial_floor=1.8, strict_timing=False)
     serial = numbers["scenarios"]["serial_hits"]
     print(
@@ -82,8 +82,9 @@ def main() -> int:
     )
 
     # Miss-path throughput floor: no >10% regression of the
-    # miss-dominated geomean vs the recorded BENCH_engine.json.
-    recorded = json.loads(BENCH_JSON.read_text())
+    # miss-dominated geomean vs the recorded BENCH_engine.json's smoke
+    # section (the same scale and repeats as this run).
+    recorded = json.loads(BENCH_JSON.read_text())["smoke"]
     geomean = assert_miss_path_floor(numbers, recorded)
     for name in MISS_SCENARIOS:
         s = numbers["scenarios"][name]
@@ -98,7 +99,7 @@ def main() -> int:
     # not regress >10% vs the recorded JSON.  Cleanly skipped when
     # NumPy is absent — the no-NumPy leg has no vector columns.
     if numpy_available():
-        geomean = assert_vector_floor(numbers, recorded.get("smoke", recorded))
+        geomean = assert_vector_floor(numbers, recorded)
         for name in VECTOR_SCENARIOS:
             s = numbers["scenarios"][name]
             print(
@@ -111,24 +112,6 @@ def main() -> int:
         )
     else:
         print("vector skip   NumPy absent — vector-backend floor not checked")
-
-    # Specialized-backend floor: the partially evaluated miss path's
-    # standing vs run-ahead (geomean over the four acceptance
-    # scenarios) must not regress >10% vs the recorded JSON.  Runs in
-    # both CI legs — the backend has no optional dependencies.
-    geomean = assert_specialized_floor(numbers, recorded.get("smoke", recorded))
-    for name in SPECIALIZED_SCENARIOS:
-        s = numbers["scenarios"][name]
-        print(
-            f"specialized ok {name:13s} "
-            f"{s['specialized_refs_per_s'] / 1e3:6.0f}k refs/s "
-            f"({s['specialized_vs_runahead']:.2f}x vs run-ahead)"
-        )
-    if geomean:
-        print(
-            f"specialized ok geomean {geomean:.2f}x vs run-ahead "
-            "(gate: no >10% regression)"
-        )
 
     # Disabled-instrumentation floor: with ObsParams off (the default),
     # dispatching through simulate() must cost <= 2% vs constructing

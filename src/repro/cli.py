@@ -560,6 +560,8 @@ def _cmd_engines() -> None:
         available = (
             "yes" if row["available"] else f"unavailable — {row['reason']}"
         )
+        if "native" in row:
+            available += f" (native core: {row['native']})"
         print(
             f"{row['name']:<12} {row['requires']:<24} "
             f"{row['summary']:<50} {available}"
@@ -719,6 +721,10 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(
             f"  stale schema  {report['stale_schema']}"
             + (" (run `store gc` to remove)" if report["stale_schema"] else "")
+        )
+        print(
+            f"  stale engine  {report['stale_engine']}"
+            + (" (run `store gc` to remove)" if report["stale_engine"] else "")
         )
         label = "corrupt" if args.no_quarantine else "quarantined"
         print(f"  {label:<13} {len(report['quarantined'])}")

@@ -424,11 +424,13 @@ class SystemConfig:
     - ``"runahead"`` — the drain-loop scheduler, the production default;
     - ``"reference"`` — the frozen classic loop, the differential oracle;
     - ``"vector"``    — the NumPy batch-vectorized epoch engine
-      (requires the optional ``[vector]`` extra);
-    - ``"specialized"`` — run-ahead's scheduler with a miss path
-      partially evaluated (generated and compiled) per configuration.
+      (requires the optional ``[vector]`` extra).
 
-    All four are bit-identical by contract (the differential property
+    Whether ``"runahead"`` runs its loop in the compiled core
+    (:mod:`repro.sim.native`) is not part of the configuration: both
+    paths give identical results under the same engine name.
+
+    All three are bit-identical by contract (the differential property
     suites pin it), so the choice affects wall time only; it still
     participates in the result-store identity because stored timings
     must be attributable to the backend that produced them.  The
@@ -463,7 +465,7 @@ class SystemConfig:
     obs: ObsParams = field(default_factory=ObsParams, compare=False)
 
     _PROTOCOLS = ("ccnuma", "scoma", "rnuma", "ideal")
-    _ENGINES = ("runahead", "reference", "vector", "specialized")
+    _ENGINES = ("runahead", "reference", "vector")
     # Mirrors repro.interconnect.topology.TOPOLOGIES (params cannot
     # import it without a package-init cycle); tests/test_topology.py
     # asserts the two stay in sync.

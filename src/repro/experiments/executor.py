@@ -358,6 +358,11 @@ def _atomic_write_json(root: Path, path: Path, payload: Any, **dump_kwargs) -> N
         raise
 
 
+#: :meth:`ResultStore.classify_entry` reasons for well-formed entries
+#: the current code no longer uses (reported by verify, removed by gc).
+STALE_REASONS = ("stale-schema", "stale-engine")
+
+
 class ResultStore:
     """JSON-per-key persistent result store.
 
@@ -373,7 +378,8 @@ class ResultStore:
 
     - :meth:`verify` classifies every entry and quarantines corrupt
       ones into ``quarantine/`` (instead of silently ignoring them);
-    - :meth:`gc` removes stale-schema entries and *old* orphan
+    - :meth:`gc` removes stale entries (an older schema, or a result
+      of an engine backend that no longer exists) and *old* orphan
       ``.tmp`` files (age-gated so live concurrent writers are never
       clobbered);
     - :meth:`stats` summarizes the directory.
@@ -465,8 +471,10 @@ class ResultStore:
     # -- integrity -----------------------------------------------------
 
     def classify_entry(self, path: Path) -> str:
-        """Why an entry is (un)usable: ``"ok"``, ``"stale-schema"``, or
-        a corruption reason (``"corrupt-json"``, ``"missing-checksum"``,
+        """Why an entry is (un)usable: ``"ok"``, stale
+        (``"stale-schema"``, or ``"stale-engine"`` for a result of a
+        removed engine backend), or a corruption reason
+        (``"corrupt-json"``, ``"missing-checksum"``,
         ``"checksum-mismatch"``, ``"invalid-result"``, ``"unreadable"``)."""
         try:
             text = path.read_text(encoding="utf-8")
@@ -484,6 +492,10 @@ class ResultStore:
             return "missing-checksum"
         if payload["payload_sha256"] != payload_checksum(payload.get("result", {})):
             return "checksum-mismatch"
+        config = payload.get("result", {}).get("config")
+        engine = config.get("engine") if isinstance(config, dict) else None
+        if isinstance(engine, str) and engine not in SystemConfig._ENGINES:
+            return "stale-engine"
         try:
             SimulationResult.from_json_dict(payload["result"])
         except (KeyError, TypeError, ValueError, ReproError):
@@ -493,7 +505,7 @@ class ResultStore:
     def verify(self, quarantine: bool = True) -> Dict[str, Any]:
         """Fsck every entry; corrupt ones move to ``quarantine/``.
 
-        Stale-schema entries are *reported but left alone* (they are
+        Stale entries are *reported but left alone* (they are
         well-formed history, and :meth:`gc`'s job); corruption —
         unparseable JSON, a missing or mismatching integrity hash, a
         result payload that no longer deserializes — is quarantined so
@@ -504,6 +516,7 @@ class ResultStore:
             "checked": 0,
             "ok": 0,
             "stale_schema": 0,
+            "stale_engine": 0,
             "quarantined": [],
             "by_reason": {},
         }
@@ -513,8 +526,8 @@ class ResultStore:
             if reason == "ok":
                 report["ok"] += 1
                 continue
-            if reason == "stale-schema":
-                report["stale_schema"] += 1
+            if reason in STALE_REASONS:
+                report[reason.replace("-", "_")] += 1
                 continue
             report["by_reason"][reason] = report["by_reason"].get(reason, 0) + 1
             if quarantine:
@@ -524,7 +537,7 @@ class ResultStore:
         return report
 
     def gc(self, tmp_max_age_s: float = TMP_GC_AGE_S) -> Dict[str, int]:
-        """Remove stale-schema entries and *old* orphan ``.tmp`` files.
+        """Remove stale entries and *old* orphan ``.tmp`` files.
 
         Temp files younger than ``tmp_max_age_s`` are presumed to
         belong to a live concurrent writer (a save between mkstemp and
@@ -533,7 +546,7 @@ class ResultStore:
         """
         removed_stale = 0
         for path in list(self._entry_paths()):
-            if self.classify_entry(path) == "stale-schema":
+            if self.classify_entry(path) in STALE_REASONS:
                 try:
                     path.unlink()
                 except OSError:
@@ -1074,7 +1087,9 @@ class Executor:
         """Write ``run_manifest.json`` next to the store's results.
 
         Records what this sweep was (job/app/engine/protocol sets),
-        where it ran (provenance: git describe, host, interpreter), how
+        where it ran (provenance: git describe, host, interpreter, and
+        whether the run-ahead engine's compiled core was active, with
+        its source hash — provenance only, never part of a job key), how
         (workers, retry policy, store schema version), and what *did
         not* survive — the ``failures`` section carries one replayable
         record per permanently failed job, which ``reproduce --resume``

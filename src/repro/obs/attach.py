@@ -10,10 +10,8 @@ place instrumentation touches the hot path.  The contract it exploits:
   uninstrumented build (the zero-cost-off invariant).
 * The hook's calling convention is declared by the ``_MISS_HOOK`` class
   attribute: ``"columnar"`` for the 5-argument
-  ``(cpu, b, w, st, now) -> lat`` form shared by the run-ahead, vector,
-  and specialized engines (the specialized engine binds its generated
-  closure as an *instance* attribute with the same signature, which the
-  wrapper captures transparently), and ``"legacy"`` for the reference
+  ``(cpu, b, w, st, now) -> lat`` form shared by the run-ahead and
+  vector engines, and ``"legacy"`` for the reference
   engine's 7-argument ``(cpu, node, l1, b, w, st, now) -> lat`` form.
 * Every stat mutation a miss performs on behalf of the requester —
   including those made inside the osint page services and the
@@ -242,7 +240,7 @@ class _Observer:
 def _install(engine: Any, observer: _Observer) -> None:
     """Replace ``engine._miss`` with the observing wrapper."""
     hook = getattr(type(engine), "_MISS_HOOK", None)
-    inner = engine._miss  # instance attr (specialized) or bound method
+    inner = engine._miss
     snapshot = TRACKED_COUNTERS
     shift = engine._block_page_shift
     if hook == "columnar":

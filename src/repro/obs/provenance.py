@@ -71,10 +71,19 @@ def provenance_block() -> Dict[str, Any]:
 
     Keys: ``git_commit``, ``git_describe``, ``timestamp_utc``,
     ``python``, ``implementation``, ``numpy`` (version or
-    ``"absent"``), ``platform``, ``host_cpus``.  The interpreter/host
-    keys match what ``benchmarks/bench_engine.py`` has recorded since
-    PR 7, so old and new ``BENCH_*.json`` files stay comparable.
+    ``"absent"``), ``platform``, ``host_cpus``, and ``native_core``
+    (the run-ahead engine's compiled core: ``status`` and
+    ``source_sha256``, see :func:`repro.sim.native.provenance`).  The
+    interpreter/host keys match what ``benchmarks/bench_engine.py`` has
+    recorded since PR 7, so old and new ``BENCH_*.json`` files stay
+    comparable.
+
+    Reporting the core's status takes one build attempt when the core
+    is not cached yet, so a tool that records provenance before it
+    times anything times the built core, not its one-off compilation.
     """
+    from repro.sim import native
+
     try:
         import numpy
 
@@ -91,4 +100,5 @@ def provenance_block() -> Dict[str, Any]:
         "numpy": numpy_version,
         "platform": platform.platform(),
         "host_cpus": os.cpu_count(),
+        "native_core": native.provenance(),
     }

@@ -106,6 +106,7 @@ from repro.machine.machine import Machine
 from repro.machine.node import Node
 from repro.osint.placement import first_touch_homes, resolve_home
 from repro.protocols import make_policy
+from repro.sim import native
 from repro.sim.results import SimulationResult
 from repro.vm.page_table import MAP_CC, MAP_LOCAL, MAP_SCOMA, MAP_UNMAPPED
 
@@ -134,8 +135,8 @@ class SimulationEngine:
 
     #: Calling convention of ``_miss``, for :mod:`repro.obs.attach`:
     #: ``"columnar"`` is the 5-argument ``(cpu, b, w, st, now) -> lat``
-    #: form.  Engines that bind a same-signature closure as an instance
-    #: attribute (the specialized backend) inherit this declaration.
+    #: form.  Installing the hook as an instance attribute also keeps
+    #: the run on the Python loop (the compiled core never calls it).
     _MISS_HOOK = "columnar"
 
     def __init__(
@@ -279,6 +280,25 @@ class SimulationEngine:
     # ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
+        # The compiled core (repro.sim.native) runs this loop and the
+        # whole miss path in C when it can serve the run: the engine is
+        # exactly this class, no instance hook replaced ``_miss`` (the
+        # obs layer installs one), and sharer masks fit an int64.  It is
+        # the same engine either way: results are bit-identical.
+        if (
+            type(self) is SimulationEngine
+            and "_miss" not in self.__dict__
+            and len(self._nodes) <= native.MAX_NODES
+        ):
+            core = native.core()
+            if core is not None:
+                return self._settle(*core.run(self, resolve_home))
+        return self._settle(*self._drain())
+
+    def _drain(self):
+        """The drain loop.  Returns the raw schedule outcome: finish
+        times, per-node miss and stall sums, the scheduler counters,
+        and any barrier arrivals still pending."""
         costs = self.config.costs
         barrier_cost = costs.barrier_cost
         # One shift turns a packed word into its block number.
@@ -441,6 +461,31 @@ class SimulationEngine:
                 t, cpu = divmod(heappop(heap), n_cpus)
                 rare_pops += 1
 
+        return (
+            finish,
+            misses_acc,
+            stall_acc,
+            yields,
+            rare_pops,
+            barrier_pushes,
+            barrier_arrivals,
+        )
+
+    def _settle(
+        self,
+        finish,
+        misses_acc,
+        stall_acc,
+        yields,
+        rare_pops,
+        barrier_pushes,
+        barrier_arrivals,
+    ) -> SimulationResult:
+        """Settle the deferred counters of a drained run (shared by the
+        Python loop and the compiled core) and build the result."""
+        node_of = self._node_of_cpu
+        n_cpus = len(self._columns)
+        n_nodes = len(self.machine.nodes)
         if barrier_arrivals:
             waiting = sorted(barrier_arrivals)
             raise TraceError(

@@ -1,11 +1,13 @@
 """Engine backend registry and selection.
 
-Four interchangeable schedulers drive the same machine model and miss
+Three interchangeable schedulers drive the same machine model and miss
 path, selected by ``SystemConfig.engine``:
 
 ``runahead``
     The drain-loop scheduler (:class:`~repro.sim.engine.SimulationEngine`),
-    the production default.  No optional dependencies.
+    the production default.  No optional dependencies; when a C
+    compiler is present its loop and miss path run in the compiled
+    core (:mod:`repro.sim.native`), with identical results.
 ``reference``
     The frozen classic loop over the pre-columnar structures
     (:class:`~repro.sim.reference.ReferenceEngine`), the differential
@@ -15,13 +17,8 @@ path, selected by ``SystemConfig.engine``:
     (:class:`~repro.sim.vector.VectorEngine`).  Requires NumPy
     (``pip install .[vector]``); selecting it without raises
     :class:`~repro.common.errors.EngineUnavailableError`.
-``specialized``
-    The per-config partially evaluated miss path
-    (:class:`~repro.sim.specialized.SpecializedEngine`): run-ahead's
-    scheduler with a ``_miss`` generated, compiled, and cached per
-    configuration.  No optional dependencies.
 
-All four produce bit-identical :class:`SimulationResult`\\ s — the
+All three produce bit-identical :class:`SimulationResult`\\ s — the
 differential property suites pin the contract — so the selection is a
 pure speed/dependency trade-off.
 """
@@ -52,18 +49,11 @@ def _vector(config, traces, homes):
     return VectorEngine(config, traces, homes)
 
 
-def _specialized(config, traces, homes):
-    from repro.sim.specialized import SpecializedEngine
-
-    return SpecializedEngine(config, traces, homes)
-
-
 #: backend name -> constructor taking (config, traces, homes).
 _BUILDERS = {
     "runahead": _runahead,
     "reference": _reference,
     "vector": _vector,
-    "specialized": _specialized,
 }
 
 
@@ -94,25 +84,30 @@ def engine_backends() -> List[Dict[str, str]]:
     """Rows describing every backend, for the CLI ``engines`` listing.
 
     ``reason`` is None for an available backend, else the short cause
-    (e.g. ``"NumPy not installed (pip install .[vector])"``).
+    (e.g. ``"NumPy not installed (pip install .[vector])"``).  The
+    runahead row also carries ``native``: ``"active"`` when its loop
+    runs in the compiled core, else why it does not (building the core
+    if this process has not tried yet).
     """
     rows = []
     for name, summary, requires in (
         ("runahead", "drain-loop scheduler (production default)", "-"),
         ("reference", "classic per-reference loop (differential oracle)", "-"),
         ("vector", "batch-vectorized epoch engine", "numpy ([vector] extra)"),
-        ("specialized", "per-config partially evaluated miss path", "-"),
     ):
         reason = engine_unavailable_reason(name)
-        rows.append(
-            {
-                "name": name,
-                "summary": summary,
-                "requires": requires,
-                "available": reason is None,
-                "reason": reason,
-            }
-        )
+        row = {
+            "name": name,
+            "summary": summary,
+            "requires": requires,
+            "available": reason is None,
+            "reason": reason,
+        }
+        if name == "runahead":
+            from repro.sim import native
+
+            row["native"] = native.status()
+        rows.append(row)
     return rows
 
 

@@ -19,6 +19,14 @@ input (see ``tests/property/test_runahead_differential.py``), and the
 honest baseline for ``benchmarks/bench_engine.py``'s speedup numbers —
 the ratio measures the scheduler *and* the state-layout overhaul.
 
+Scope: :meth:`ReferenceEngine.__init__` always installs a full-map
+:class:`~repro.sim.legacy.LegacyDirectory`, whatever
+``SystemConfig.directory`` asks for, so this engine is an oracle for
+full-map configurations only.  On limited-pointer and coarse-vector
+directories the run-ahead engine's Python loop, which shares the
+canonical :mod:`repro.coherence.directory` implementations, is the
+oracle the compiled core and the vector engine are compared against.
+
 Do not optimize this file.  Its value is being obviously equivalent to
 the semantics the fast engine must preserve.
 """
@@ -323,7 +331,10 @@ class ReferenceEngine(SimulationEngine):
                 self._invalidate_node_block(victim, b, g)
             if remote_work:
                 lat += costs.remote_fetch
-                target = out.prev_owner if out.prev_owner >= 0 else out.invalidated[0]
+                # The lowest sharer id: ``invalidated`` follows the
+                # sharer set's iteration order, which is not ascending
+                # once node ids collide in its hash table.
+                target = out.prev_owner if out.prev_owner >= 0 else min(out.invalidated)
                 lat += self.machine.network.round_trip_delay(nid, target, now)
                 node.stats.remote_fetches += 1
             elif st != INVALID:

@@ -15,6 +15,8 @@ L1 and the block cache, which makes refetch scenarios two lines long.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.common.addressing import AddressSpace
@@ -44,6 +46,76 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "vector" in item.keywords:
             item.add_marker(skip)
+
+
+@contextlib.contextmanager
+def python_loop():
+    """Run the run-ahead engine on its pure-Python loop inside the
+    block (the test seam of :mod:`repro.sim.native`)."""
+    from repro.sim import native
+
+    saved = native._force_python
+    native._force_python = True
+    try:
+        yield
+    finally:
+        native._force_python = saved
+
+
+class CoreSpy:
+    """Stands in for the loaded core and counts the runs it serves."""
+
+    def __init__(self, real):
+        self.real = real
+        self.calls = 0
+
+    def run(self, *args):
+        self.calls += 1
+        return self.real.run(*args)
+
+
+@pytest.fixture
+def native_path(monkeypatch):
+    """The native leg of a suite: run-ahead runs use the compiled core;
+    skipped, with the reason, where the core cannot be built.
+
+    Yields a :class:`CoreSpy` around the core, and fails any run the
+    core should have served but did not (exactly ``SimulationEngine``,
+    no instance ``_miss`` hook, at most ``MAX_NODES`` nodes, Python
+    loop not forced), so a silent fallback cannot pass for agreement.
+    """
+    from repro.sim import native
+    from repro.sim.engine import SimulationEngine
+
+    status = native.status()
+    if status != "active":
+        pytest.skip(f"compiled run-ahead core unavailable: {status}")
+    spy = CoreSpy(native.core())
+    monkeypatch.setattr(native, "_module", spy)
+    engine_run = SimulationEngine.run
+
+    def run(engine):
+        eligible = (
+            not native._force_python
+            and type(engine) is SimulationEngine
+            and "_miss" not in engine.__dict__
+            and len(engine._nodes) <= native.MAX_NODES
+        )
+        before = spy.calls
+        result = engine_run(engine)
+        if eligible:
+            assert spy.calls == before + 1, "the compiled core did not serve the run"
+        return result
+
+    monkeypatch.setattr(SimulationEngine, "run", run)
+    yield spy
+
+
+@pytest.fixture
+def python_path():
+    """The Python leg of a suite: run-ahead runs use the Python loop."""
+    with python_loop():
+        yield
 
 
 TINY_SPACE = AddressSpace(block_size=64, page_size=512)

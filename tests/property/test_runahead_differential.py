@@ -28,6 +28,8 @@ from repro.sim import simulate, simulate_reference
 
 from tests.conftest import tiny_config
 
+pytestmark = pytest.mark.usefixtures("native_path")
+
 PROTOCOLS = ("ccnuma", "scoma", "rnuma", "ideal")
 
 # Addresses span 8 pages of the tiny 512-byte-page space: enough pages
@@ -155,3 +157,24 @@ def test_runahead_matches_reference_at_64_nodes():
 @pytest.mark.large_n
 def test_runahead_matches_reference_at_256_nodes():
     _engine_matches_reference_at(256)
+
+
+@pytest.mark.parametrize("nodes, cycles", [(12, 26217), (16, 35617)])
+def test_home_write_targets_the_lowest_sharer(nodes, cycles):
+    """A home-node write that only invalidates sharers charges its
+    round trip to the lowest-numbered sharer.  On wider machines the
+    frozen reference's sharer *set* stops iterating in ascending order
+    (node ids >= 8 collide in the hash table), so it must pick
+    ``min()`` rather than the first element to stay an oracle."""
+    import dataclasses
+
+    from repro.experiments.config import ideal
+    from repro.workloads.registry import build_program
+
+    machine = MachineParams(nodes=nodes, cpus_per_node=4)
+    config = dataclasses.replace(ideal(), machine=machine)
+    program = build_program("em3d", machine=machine, scale=0.05)
+    fast = simulate(config, program)
+    slow = simulate_reference(config, program)
+    assert_identical_results(fast, slow)
+    assert fast.exec_cycles == cycles

@@ -175,6 +175,23 @@ def test_unknown_command_rejected():
         build_parser().parse_args(["frobnicate"])
 
 
+def test_engines_shows_native_core_status(capsys, monkeypatch):
+    from repro.sim import native
+
+    monkeypatch.setattr(native, "_tried", True)
+    monkeypatch.setattr(native, "_module", None)
+    monkeypatch.setattr(native, "_reason", "no C compiler")
+    out = run_cli(capsys, "engines")
+    (runahead,) = [line for line in out.splitlines() if line.startswith("runahead")]
+    assert runahead.endswith("yes (native core: no C compiler)")
+
+    monkeypatch.setattr(native, "_tried", False)
+    out = run_cli(capsys, "engines")
+    (runahead,) = [line for line in out.splitlines() if line.startswith("runahead")]
+    assert f"(native core: {native.status()})" in runahead
+    assert "specialized" not in out
+
+
 def test_nonpositive_jobs_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["reproduce", "--jobs", "0"])

@@ -72,18 +72,12 @@ class TestProcessDefault:
 
 class TestFactory:
     def test_builds_each_backend(self):
-        from repro.sim.specialized import SpecializedEngine
-
         traces = [[], []]
         cfg = tiny_config("ccnuma")
         assert type(factory.make_engine(cfg, traces)) is SimulationEngine
         assert isinstance(
             factory.make_engine(cfg.with_engine("reference"), traces),
             ReferenceEngine,
-        )
-        assert isinstance(
-            factory.make_engine(cfg.with_engine("specialized"), traces),
-            SpecializedEngine,
         )
 
     def test_backend_listing_shape(self):
@@ -92,23 +86,23 @@ class TestFactory:
             "runahead",
             "reference",
             "vector",
-            "specialized",
         ]
         for row in rows:
+            extra = {"native"} if row["name"] == "runahead" else set()
             assert set(row) == {
                 "name",
                 "summary",
                 "requires",
                 "available",
                 "reason",
-            }
+            } | extra
             # The listing's reason and the availability flag must agree.
             assert row["available"] == (row["reason"] is None)
-        assert rows[0]["available"] and rows[1]["available"] and rows[3]["available"]
+        assert rows[0]["available"] and rows[1]["available"]
 
     def test_unavailable_reason_strings(self):
         assert factory.engine_unavailable_reason("runahead") is None
-        assert factory.engine_unavailable_reason("specialized") is None
+        assert "unknown engine" in factory.engine_unavailable_reason("specialized")
         assert "unknown engine" in factory.engine_unavailable_reason("warp")
 
     def test_vector_without_numpy_raises_cleanly(self, monkeypatch):
@@ -137,25 +131,26 @@ class TestFactory:
         b = factory.simulate_with(cfg.with_engine("reference"), traces)
         assert a.exec_cycles == b.exec_cycles == 0
 
-    def test_specialized_survives_missing_numpy(self, monkeypatch):
-        """The specialized backend must not require NumPy — the no-NumPy
-        CI leg runs its differential subset.  Patch out both optional
-        import sites and check a real (non-empty) run still matches."""
+    @pytest.mark.usefixtures("native_path")
+    def test_native_core_survives_missing_numpy(self, monkeypatch):
+        """The compiled core calls the OS page services, whose block
+        scan has an optional NumPy fast path.  Patch out both optional
+        import sites and check a real (non-empty) run still matches the
+        reference."""
         from repro.common.records import Access
         from repro.osint import services as services_mod
 
         monkeypatch.setattr(vector_mod, "_np", None)
         monkeypatch.setattr(services_mod, "_np", None)
-        assert factory.engine_available("specialized")
         traces = [
             [Access(0, False, 1), Access(64, True, 0)],
             [Access(512, True, 2), Access(0, True, 0)],
         ]
         cfg = tiny_config("rnuma")
-        fast = factory.simulate_with(
-            cfg.with_engine("specialized"), [list(t) for t in traces]
+        fast = factory.simulate_with(cfg, [list(t) for t in traces])
+        slow = factory.simulate_with(
+            cfg.with_engine("reference"), [list(t) for t in traces]
         )
-        slow = factory.simulate_with(cfg, [list(t) for t in traces])
         assert fast.exec_cycles == slow.exec_cycles
 
 
@@ -164,7 +159,7 @@ class TestSimulateDispatch:
         from repro.sim.engine import simulate
 
         traces = [[], []]
-        for name in ("runahead", "reference", "specialized"):
+        for name in ("runahead", "reference"):
             result = simulate(tiny_config("ccnuma", engine=name), traces)
             assert result.exec_cycles == 0
 

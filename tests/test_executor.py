@@ -265,6 +265,24 @@ class TestTelemetry:
         assert prov["timestamp_utc"].endswith("Z")
         assert prov["git_commit"]
 
+    def test_manifest_records_native_core_as_provenance(self, tmp_path):
+        """The compiled core's status and source hash are provenance:
+        recorded in the manifest, absent from every job key."""
+        from repro.sim import native
+
+        store = ResultStore(tmp_path)
+        exe = Executor(workers=1, cache=ResultCache(), store=store)
+        jobs = [Job(APP, cc_config(), SCALE)]
+        exe.run(jobs)
+        manifest = json.loads(exe.write_manifest(jobs).read_text())
+        core = manifest["provenance"]["native_core"]
+        assert core == {
+            "status": native.status(),
+            "source_sha256": native.source_sha256(),
+        }
+        assert len(core["source_sha256"]) == 64
+        assert "native" not in repr(jobs[0].key)
+
     def test_write_manifest_without_store_is_noop(self):
         exe = Executor(workers=1, cache=ResultCache())
         assert exe.write_manifest([Job(APP, cc_config(), SCALE)]) is None

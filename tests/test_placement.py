@@ -91,7 +91,6 @@ class TestPartialPlacementAcrossEngines:
         from repro.sim import (
             make_engine,
             simulate_reference,
-            simulate_specialized,
             simulate_vector,
         )
         from repro.sim.engine import simulate
@@ -115,7 +114,6 @@ class TestPartialPlacementAcrossEngines:
                 simulate,
                 simulate_reference,
                 simulate_vector,
-                simulate_specialized,
             ):
                 homes = dict(partial)
                 results.append(run(config, [list(t) for t in traces], homes))
@@ -134,7 +132,7 @@ class TestPartialPlacementAcrossEngines:
         from repro.sim import make_engine
         from tests.conftest import tiny_config
 
-        for name in ("runahead", "reference", "specialized"):
+        for name in ("runahead", "reference"):
             homes = {}
             engine = make_engine(
                 tiny_config("ccnuma", engine=name),

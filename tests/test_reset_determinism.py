@@ -12,6 +12,8 @@ no buffer changes identity (the engine hoists them into locals).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.common.records import Access, Barrier
 from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
 from repro.machine.machine import Machine
@@ -19,7 +21,9 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.reference import ReferenceEngine
 from repro.workloads.registry import build_program
 
-from tests.conftest import tiny_config
+from tests.conftest import python_loop, tiny_config
+
+pytestmark = pytest.mark.usefixtures("native_path")
 
 PROTOCOLS = ("ccnuma", "scoma", "rnuma", "ideal")
 
@@ -140,23 +144,21 @@ class TestEngineReset:
         engine.reset()
         assert _snapshot(engine.run()) == first
 
-    def test_specialized_engine_resets_on_an_app(self):
-        # The generated closure captures machine containers by reference
-        # at construction; reset() must leave every one of them (and the
-        # dense mirror columns) pointing at live state.
-        from repro.sim.specialized import SpecializedEngine
-
+    def test_native_and_python_runs_interleave_on_an_app(self):
+        # The compiled core keeps bus/NI/RAD state and some counters in
+        # C during a run; it must write all of it back, so a Python-loop
+        # run after reset() on the same machine sees exactly the state
+        # a Python-loop run would have left.
         program = build_program("em3d", scale=0.05)
         for config in (ideal(), cc_config(), scoma_config(), rnuma_config()):
-            engine = SpecializedEngine(config, program)
+            engine = SimulationEngine(config, program)
             first = _snapshot(engine.run())
             engine.reset()
-            second = _snapshot(engine.run())
-            assert second == first, f"reset drifted for {config.protocol}"
+            with python_loop():
+                second = _snapshot(engine.run())
+            assert second == first, f"paths drifted for {config.protocol}"
 
-    def test_specialized_engine_resets_on_tiny_conflict_traces(self):
-        from repro.sim.specialized import SpecializedEngine
-
+    def test_native_and_python_runs_interleave_on_tiny_conflict_traces(self):
         traces = [
             [Access(a * 64, is_write=a % 3 == 0, think=1) for a in range(120)]
             + [Barrier(0)],
@@ -165,11 +167,12 @@ class TestEngineReset:
         ]
         for protocol in PROTOCOLS:
             config = tiny_config(protocol)
-            engine = SpecializedEngine(config, [list(t) for t in traces])
-            first = _snapshot(engine.run())
+            engine = SimulationEngine(config, [list(t) for t in traces])
+            with python_loop():
+                first = _snapshot(engine.run())
             engine.reset()
             second = _snapshot(engine.run())
-            assert second == first, f"reset drifted for {protocol}"
+            assert second == first, f"paths drifted for {protocol}"
 
 
 def second_equal(engine, first) -> bool:

@@ -19,7 +19,9 @@ from tests.conftest import tiny_config
 from tests.property.test_obs_differential import _traces
 from tests.property.test_runahead_differential import PROTOCOLS
 
-BASE_ENGINES = ("runahead", "reference", "specialized")
+pytestmark = pytest.mark.usefixtures("native_path")
+
+BASE_ENGINES = ("runahead", "reference")
 
 STAT_FIELDS = tuple(f.name for f in dataclasses.fields(NodeStats))
 

@@ -219,3 +219,39 @@ class TestStoreCli:
         out = capsys.readouterr().out
         assert f"schema v{STORE_SCHEMA_VERSION}" in out
         assert "entries      1" in out
+
+
+class TestRemovedEngineEntries:
+    """Entries written by an engine backend that no longer exists are
+    stale history: reported by verify, removed by gc, never a crash."""
+
+    def _removed_engine_entry(self, store, fresh_result):
+        store.save(Job(APP, cc_config(), SCALE), fresh_result)
+        path = entry_path(store)
+        payload = json.loads(path.read_text())
+        payload["result"]["config"]["engine"] = "specialized"
+        payload["payload_sha256"] = payload_checksum(payload["result"])
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_verify_reports_stale_engine(self, tmp_path, fresh_result):
+        store = ResultStore(tmp_path)
+        path = self._removed_engine_entry(store, fresh_result)
+        assert store.classify_entry(path) == "stale-engine"
+        report = store.verify()
+        assert report["stale_engine"] == 1 and report["quarantined"] == []
+        assert path.exists()
+
+    def test_gc_removes_stale_engine(self, tmp_path, fresh_result):
+        store = ResultStore(tmp_path)
+        self._removed_engine_entry(store, fresh_result)
+        assert store.gc()["removed_stale_entries"] == 1
+        assert len(store) == 0
+
+    def test_cli_verify_and_gc(self, tmp_path, fresh_result, capsys):
+        store = ResultStore(tmp_path)
+        self._removed_engine_entry(store, fresh_result)
+        assert main(["store", "verify", "--store", str(tmp_path)]) == 0
+        assert "stale engine  1" in capsys.readouterr().out
+        assert main(["store", "gc", "--store", str(tmp_path)]) == 0
+        assert "removed 1 stale" in capsys.readouterr().out
