@@ -36,17 +36,10 @@ pre-columnar set/dict/object structures from :mod:`repro.sim.legacy`),
 so each speedup measures the scheduler and the state-layout overhaul
 together.
 
-When NumPy is importable, every scenario also times the batch-
-vectorized epoch engine (:class:`~repro.sim.vector.VectorEngine`) and
-records ``vector_refs_per_s`` / ``vector_speedup`` (vs reference) /
-``vector_vs_runahead``; without NumPy the vector columns are simply
-absent and a ``provenance`` entry records ``"numpy": "absent"`` so a
-reader of the JSON knows *why*.
-
 Each scenario runs the engines interleaved, one run of each per round.
-The refs/s columns are best-of-rounds; the speedup and ``vector_vs_*``
-columns are medians of the per-round ratios, so a host slowdown that
-spans a round cancels out of them.
+The refs/s columns are best-of-rounds; the speedup column is the
+median of the per-round ratios, so a host slowdown that spans a round
+cancels out of it.
 
 The run-ahead columns time :class:`~repro.sim.engine.SimulationEngine`
 as users run it: on its compiled core when one can be built (the
@@ -81,7 +74,6 @@ from repro.experiments.executor import Executor, Job
 from repro.experiments.runner import ResultCache
 from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.reference import ReferenceEngine
-from repro.sim.vector import VectorEngine, numpy_available
 from repro.workloads.compile import CompiledProgram
 from repro.workloads.registry import build_program
 
@@ -244,8 +236,8 @@ def _time_run(engine_cls, config, program):
 
 def _time_engines(engine_classes, config, program, repeats: int):
     """Time each engine class, interleaved: every round takes one
-    sample of each, so a host slowdown lands on all of them.  Returns
-    one (result, per-round times, sched) per class."""
+    sample of each, so a host slowdown lands on both.  Returns one
+    (result, per-round times, sched) per class."""
     times = [[] for _ in engine_classes]
     last = [None] * len(engine_classes)
     for _ in range(repeats):
@@ -273,11 +265,9 @@ def _results_identical(a, b) -> bool:
 
 
 def _compare(config, program, repeats: int) -> dict:
-    engines = [SimulationEngine, ReferenceEngine]
-    if numpy_available():
-        engines.append(VectorEngine)
-    timed = _time_engines(engines, config, program, repeats)
-    (fast_r, fast_ts, fast_sched), (slow_r, slow_ts, slow_sched) = timed[:2]
+    (fast_r, fast_ts, fast_sched), (slow_r, slow_ts, slow_sched) = _time_engines(
+        (SimulationEngine, ReferenceEngine), config, program, repeats
+    )
     assert _results_identical(fast_r, slow_r), (
         "run-ahead and reference engines disagree — benchmark void"
     )
@@ -297,21 +287,6 @@ def _compare(config, program, repeats: int) -> dict:
         ),
         "mean_run_length": refs / fast_sched["drains"] if fast_sched["drains"] else 0.0,
     }
-    if numpy_available():
-        vec_r, vec_ts, vec_sched = timed[2]
-        assert _results_identical(vec_r, slow_r), (
-            "vector and reference engines disagree — benchmark void"
-        )
-        row["vector_refs_per_s"] = refs / min(vec_ts)
-        row["vector_speedup"] = _paired_ratio(slow_ts, vec_ts)
-        row["vector_vs_runahead"] = _paired_ratio(fast_ts, vec_ts)
-        # Classification work per settled reference: > 1 means the
-        # affected-set re-predictions are reclassifying words.
-        row["vector_classify_per_ref"] = (
-            (vec_sched["vector_refs"] + vec_sched["scalar_refs"]) / refs
-            if refs
-            else 0.0
-        )
     return row
 
 
@@ -355,7 +330,7 @@ def run_engine_comparison(scale: float = 1.0, repeats: int = 3) -> dict:
 
 def _provenance() -> dict:
     """Where the numbers came from: git commit, UTC timestamp,
-    interpreter, optional NumPy, and the host shape — enough to
+    interpreter, NumPy, and the host shape — enough to
     attribute any recorded number and judge whether two JSONs are
     comparable.  Shared with ``bench_directory``/``bench_network`` and
     the executor's run manifests via :mod:`repro.obs.provenance`."""
@@ -435,62 +410,33 @@ def assert_miss_path_floor(
     return measured
 
 
-#: scenarios the vector-engine floor tracks: the two it must win
-#: (hit settlement) plus the miss-path regression guard.
-VECTOR_SCENARIOS = ("parallel_hits", "app", "miss_stream")
-
-
-def assert_vector_floor(
-    numbers: dict, recorded: dict, tolerance: float = 0.9
-) -> float:
-    """CI gate: the vector engine's standing vs run-ahead must not
-    regress >10% against the recorded ``BENCH_engine.json``.
-
-    Same geomean construction as :func:`assert_miss_path_floor`, over
-    ``vector_vs_runahead`` for :data:`VECTOR_SCENARIOS` — the massive
-    hit-settlement win (``parallel_hits``), the end-to-end mix
-    (``app``), and the pure miss residue (``miss_stream``), so both a
-    lost vectorization win and a bloated scheduler move the gate.
-    Skips (returns 0.0) when either JSON has no vector columns — the
-    no-NumPy leg has nothing to compare.  Returns the measured geomean.
-    """
-    measured = 1.0
-    baseline = 1.0
-    for name in VECTOR_SCENARIOS:
-        m = numbers["scenarios"][name].get("vector_vs_runahead")
-        b = recorded["scenarios"][name].get("vector_vs_runahead")
-        if m is None or b is None:
-            return 0.0
-        measured *= m
-        baseline *= b
-    measured **= 1 / len(VECTOR_SCENARIOS)
-    baseline **= 1 / len(VECTOR_SCENARIOS)
-    floor = tolerance * baseline
-    assert measured >= floor, (
-        f"vector-engine speedup geomean {measured:.2f}x regressed below "
-        f"{floor:.2f}x (recorded {baseline:.2f}x - 10%)"
-    )
-    return measured
-
-
 #: the miss-dominated scenarios ``--profile`` attributes (plus the
 #: end-to-end mix).
 PROFILE_SCENARIOS = ("app", "miss_stream", "migratory", "page_thrash")
 
 
-def run_obs_overhead(scale: float = 0.1, repeats: int = 9) -> dict:
+#: rounds of the disabled-obs comparison: its 2% tolerance is tighter
+#: than the per-round jitter of a shared host (~5%), so it needs more
+#: rounds than the engine comparison for a stable median.
+OBS_REPEATS = 15
+
+
+def run_obs_overhead(scale: float = 0.1, repeats: int = OBS_REPEATS) -> dict:
     """Cost of the *disabled* instrumentation layer on the miss path.
 
-    For each miss-dominated scenario, interleaves best-of-N timings of
-    two ways to run the identical simulation: constructing the
-    run-ahead engine directly (the pre-obs code path, byte for byte)
-    and going through :func:`repro.sim.engine.simulate` with the
-    default disabled :class:`~repro.common.params.ObsParams` (the path
-    every caller actually takes).  The pairing makes the comparison
-    host-insensitive: both halves run in the same process, interleaved,
-    on the same warm program.  ``relative`` is direct-time /
-    dispatch-time — 1.0 means the obs-aware dispatch is free, below 1.0
-    means it taxed the run.
+    For each miss-dominated scenario, interleaves timings of two ways
+    to run the identical simulation: constructing the run-ahead engine
+    directly (the pre-obs code path, byte for byte) and going through
+    :func:`repro.sim.engine.simulate` with the default disabled
+    :class:`~repro.common.params.ObsParams` (the path every caller
+    actually takes).  Both halves time construct + run.  Each round
+    takes one sample of each half (a sample repeats the run until it
+    has taken :data:`MIN_SAMPLE_S`), alternating which half goes first;
+    ``relative`` is the median over rounds of direct-time /
+    dispatch-time (:func:`_paired_ratio`), so host-speed drift between
+    rounds cancels out.  1.0 means the obs-aware dispatch is free,
+    below 1.0 means it taxed the run.  ``direct_s``/``dispatch_s`` are
+    the best per-run means.
     """
     n = max(2000, int(200000 * scale))
     cc = _config(machine=PAPER_MACHINE)
@@ -502,39 +448,38 @@ def run_obs_overhead(scale: float = 0.1, repeats: int = 9) -> dict:
             _page_thrash_program(max(4000, n // 2)),
         ),
     }
-    def _time_direct(config, program):
-        # Construction inside the clock: simulate() necessarily builds
-        # the engine too, so both halves time construct + run.
-        t0 = time.perf_counter()
-        SimulationEngine(config, program).run()
-        return time.perf_counter() - t0
 
-    def _time_dispatch(config, program):
-        t0 = time.perf_counter()
+    def direct(config, program):
+        SimulationEngine(config, program).run()
+
+    def dispatch(config, program):
         simulate(config, program)
-        return time.perf_counter() - t0
+
+    def sample(run, config, program):
+        total = 0.0
+        runs = 0
+        while total < MIN_SAMPLE_S:
+            t0 = time.perf_counter()
+            run(config, program)
+            total += time.perf_counter() - t0
+            runs += 1
+        return total / runs
 
     report = {}
     for name, (config, program) in cases.items():
         assert not config.obs.enabled
-        _time_direct(config, program)  # warm the program/page maps
-        direct_best = dispatch_best = None
+        direct(config, program)  # warm the program/page maps
+        times = {direct: [], dispatch: []}
         for i in range(repeats):
             # Alternate which half goes first so cache/allocator state
             # drift cannot systematically favor one side.
-            halves = (_time_direct, _time_dispatch)
-            if i % 2:
-                halves = tuple(reversed(halves))
+            halves = (direct, dispatch) if i % 2 == 0 else (dispatch, direct)
             for half in halves:
-                dt = half(config, program)
-                if half is _time_direct:
-                    direct_best = dt if direct_best is None else min(direct_best, dt)
-                else:
-                    dispatch_best = dt if dispatch_best is None else min(dispatch_best, dt)
+                times[half].append(sample(half, config, program))
         report[name] = {
-            "direct_s": direct_best,
-            "dispatch_s": dispatch_best,
-            "relative": direct_best / dispatch_best,
+            "direct_s": min(times[direct]),
+            "dispatch_s": min(times[dispatch]),
+            "relative": _paired_ratio(times[direct], times[dispatch]),
         }
     return report
 
@@ -681,9 +626,8 @@ def main(argv=None) -> int:
     # depends on run *length* (short runs amortize less set-up), so
     # CI's scale-0.1 measurement needs a scale-0.1 baseline to be
     # compared against.  It runs first, in a process as fresh as the
-    # smoke's own (after the full-scale runs the vector engine reads a
-    # few percent faster), and records the median of a few
-    # comparisons, so one noisy pass does not set CI's floors.
+    # smoke's own, and records the median of a few comparisons, so one
+    # noisy pass does not set CI's floors.
     smoke = [
         run_engine_comparison(scale=SMOKE_SCALE, repeats=SMOKE_REPEATS)["scenarios"]
         for _ in range(SMOKE_RECORDS)
@@ -702,34 +646,24 @@ def main(argv=None) -> int:
     }
     # Record the disabled-instrumentation cost alongside (and gate it:
     # a BENCH refresh must not land a tax on the plain hot path).
-    # More repeats than the engine comparison: the 2% tolerance needs
-    # tight best-of-N minima on both halves of each pair.
-    numbers["obs_overhead"] = run_obs_overhead(scale=0.1, repeats=9)
+    numbers["obs_overhead"] = run_obs_overhead(scale=0.1)
     assert_obs_off_floor(numbers["obs_overhead"])
     if args.profile:
         numbers["profile"] = profile_miss_share(scale=min(scale, 0.25))
     path = write_bench_json(numbers)
     for name, s in numbers["scenarios"].items():
-        line = (
+        print(
             f"{name:14s} {s['runahead_refs_per_s'] / 1e3:8.0f}k refs/s "
             f"(reference {s['reference_refs_per_s'] / 1e3:8.0f}k) "
             f"speedup {s['speedup']:.2f}x  heap_ops/ref {s['heap_ops_per_ref']:.4f}  "
             f"mean_run {s['mean_run_length']:.1f}  miss {s['miss_rate'] * 100:.1f}%"
         )
-        if "vector_vs_runahead" in s:
-            line += (
-                f"  vector {s['vector_refs_per_s'] / 1e3:8.0f}k "
-                f"({s['vector_vs_runahead']:.2f}x vs run-ahead)"
-            )
-        print(line)
     if args.profile:
         for name, row in numbers["profile"].items():
             print(
                 f"{name:14s} _miss share (Python loop): "
                 f"{row['runahead_miss_share'] * 100:.0f}%"
             )
-    if not numpy_available():
-        print("NumPy absent: vector-engine columns skipped")
     print(f"wrote {path}")
     return 0
 

@@ -63,12 +63,9 @@ def main() -> int:
         MISS_SCENARIOS,
         SMOKE_REPEATS,
         SMOKE_SCALE,
-        VECTOR_SCENARIOS,
         assert_engine_win,
         assert_miss_path_floor,
-        assert_vector_floor,
         measure_allocations,
-        numpy_available,
         run_engine_comparison,
     )
 
@@ -94,30 +91,11 @@ def main() -> int:
         )
     print(f"miss path ok  geomean speedup {geomean:.2f}x (gate: no >10% regression)")
 
-    # Vector-backend floor: the epoch engine's standing vs run-ahead
-    # (geomean over the hit-settlement wins and the miss residue) must
-    # not regress >10% vs the recorded JSON.  Cleanly skipped when
-    # NumPy is absent — the no-NumPy leg has no vector columns.
-    if numpy_available():
-        geomean = assert_vector_floor(numbers, recorded)
-        for name in VECTOR_SCENARIOS:
-            s = numbers["scenarios"][name]
-            print(
-                f"vector ok     {name:13s} {s['vector_refs_per_s'] / 1e3:6.0f}k refs/s "
-                f"({s['vector_vs_runahead']:.2f}x vs run-ahead)"
-            )
-        print(
-            f"vector ok     geomean {geomean:.2f}x vs run-ahead "
-            "(gate: no >10% regression)"
-        )
-    else:
-        print("vector skip   NumPy absent — vector-backend floor not checked")
-
     # Disabled-instrumentation floor: with ObsParams off (the default),
     # dispatching through simulate() must cost <= 2% vs constructing
     # the engine directly — the zero-cost-when-off contract of
-    # repro.obs, measured as paired in-process A/B so host speed
-    # cancels out.
+    # repro.obs, measured as paired in-process A/B rounds (median of
+    # per-round ratios) so host speed cancels out.
     from benchmarks.bench_engine import assert_obs_off_floor, run_obs_overhead
 
     overhead = run_obs_overhead(scale=0.1)

@@ -13,11 +13,9 @@ from setuptools import setup
 # The columnar miss path uses 3.10+ features (slotted dataclasses,
 # int.bit_count); CI tests 3.10–3.12.
 #
-# The core install has zero runtime dependencies.  The batch-vectorized
-# epoch engine (SystemConfig.engine == "vector") needs NumPy:
-#   pip install .[vector]
-# Without it, selecting that backend raises EngineUnavailableError and
-# the runahead/reference engines keep working.
+# NumPy is the one runtime dependency: the radix workload's trace
+# generator is pinned to its seeded RNG, and radix is one of the
+# paper's ten applications.  The simulator itself never imports it.
 #
 # A C compiler is optional, not a dependency: the run-ahead engine's
 # compiled core ships as source (repro/sim/_core.c) and is built on
@@ -25,6 +23,6 @@ from setuptools import setup
 # its Python loop with identical results (see repro.sim.native).
 setup(
     python_requires=">=3.10",
-    extras_require={"vector": ["numpy"]},
+    install_requires=["numpy"],
     package_data={"repro.sim": ["_core.c"]},
 )

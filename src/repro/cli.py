@@ -9,7 +9,7 @@ Commands
 ``directories``
     Show the directory sharer-set representations and their knobs.
 ``engines``
-    Show the engine backends and whether each can run here.
+    Show the engine backends and whether the compiled core is active.
 ``run APP``
     Simulate one application under one or all protocols, optionally on
     a non-uniform interconnect topology (``--topology``,
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=SystemConfig._ENGINES,
         default="runahead",
-        help="engine backend (default: runahead; vector needs NumPy)",
+        help="engine backend (default: runahead)",
     )
     run_p.add_argument(
         "--trace",
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser(
-        "engines", help="show the engine backends and their availability"
+        "engines", help="show the engine backends and the native-core status"
     )
 
     ts_p = sub.add_parser(
@@ -555,17 +555,10 @@ def _cmd_directories() -> None:
 
 
 def _cmd_engines() -> None:
-    print(f"{'engine':<12} {'requires':<24} {'summary':<50} available")
+    print(f"{'engine':<12} summary")
     for row in engine_backends():
-        available = (
-            "yes" if row["available"] else f"unavailable — {row['reason']}"
-        )
-        if "native" in row:
-            available += f" (native core: {row['native']})"
-        print(
-            f"{row['name']:<12} {row['requires']:<24} "
-            f"{row['summary']:<50} {available}"
-        )
+        native = f" (native core: {row['native']})" if "native" in row else ""
+        print(f"{row['name']:<12} {row['summary']}{native}")
 
 
 def _run_config_overrides(args: argparse.Namespace, config):

@@ -335,8 +335,7 @@ class RetryPolicy:
 
     ``retries``
         Extra attempts per job after the first, consumed by crashes and
-        timeouts.  Engine-unavailability (a missing optional dependency)
-        is never retried — re-running cannot install NumPy.
+        timeouts.
     ``job_timeout``
         Per-job wall-clock deadline in seconds.  A job past it is
         declared hung: its worker pool is recycled (the only way to
@@ -422,15 +421,13 @@ class SystemConfig:
     :mod:`repro.sim.factory`):
 
     - ``"runahead"`` — the drain-loop scheduler, the production default;
-    - ``"reference"`` — the frozen classic loop, the differential oracle;
-    - ``"vector"``    — the NumPy batch-vectorized epoch engine
-      (requires the optional ``[vector]`` extra).
+    - ``"reference"`` — the frozen classic loop, the differential oracle.
 
     Whether ``"runahead"`` runs its loop in the compiled core
     (:mod:`repro.sim.native`) is not part of the configuration: both
     paths give identical results under the same engine name.
 
-    All three are bit-identical by contract (the differential property
+    Both are bit-identical by contract (the differential property
     suites pin it), so the choice affects wall time only; it still
     participates in the result-store identity because stored timings
     must be attributable to the backend that produced them.  The
@@ -465,7 +462,7 @@ class SystemConfig:
     obs: ObsParams = field(default_factory=ObsParams, compare=False)
 
     _PROTOCOLS = ("ccnuma", "scoma", "rnuma", "ideal")
-    _ENGINES = ("runahead", "reference", "vector")
+    _ENGINES = ("runahead", "reference")
     # Mirrors repro.interconnect.topology.TOPOLOGIES (params cannot
     # import it without a package-init cycle); tests/test_topology.py
     # asserts the two stay in sync.

@@ -30,10 +30,7 @@ Each job owns an attempt budget (:class:`repro.common.params.RetryPolicy`):
 - a **hang** is detected by the per-job deadline; the pool is
   terminated and rebuilt (the only way to reclaim a stuck worker
   process), the hung job is charged an attempt, and in-flight innocent
-  bystanders are re-dispatched *without* being charged;
-- an **unavailable engine** (:class:`EngineUnavailableError`, e.g.
-  ``--engine vector`` without NumPy) is recorded immediately with its
-  reason string — retrying cannot install a dependency.
+  bystanders are re-dispatched *without* being charged.
 
 A job whose budget is spent becomes a :class:`JobFailure`; the sweep
 keeps going (or aborts at once under ``fail_fast``), partial results
@@ -75,11 +72,7 @@ from typing import (
     Tuple,
 )
 
-from repro.common.errors import (
-    EngineUnavailableError,
-    FaultInjected,
-    ReproError,
-)
+from repro.common.errors import FaultInjected, ReproError
 from repro.common.params import (
     RetryPolicy,
     SystemConfig,
@@ -165,9 +158,9 @@ class JobFailure:
     scale: float
     engine: str
     protocol: str
-    kind: str  #: ``"crash"``, ``"timeout"``, or ``"unavailable"``.
+    kind: str  #: ``"crash"`` or ``"timeout"``.
     attempts: int
-    error: str  #: one-line cause (exception repr, or the reason string).
+    error: str  #: one-line cause (exception repr, or the deadline hit).
     traceback: str  #: full worker traceback ("" for timeouts).
     config: Dict[str, Any]  #: :func:`config_to_dict` payload for resume.
 
@@ -278,13 +271,6 @@ def _run_supervised(payload: Tuple) -> Tuple:
         t0 = time.perf_counter()
         result = simulate(config, program)
         return (True, result, time.perf_counter() - t0, queue_wait)
-    except EngineUnavailableError as exc:
-        return (
-            False,
-            ("unavailable", exc.reason, traceback_module.format_exc()),
-            0.0,
-            queue_wait,
-        )
     except Exception as exc:
         return (
             False,
@@ -310,13 +296,6 @@ def _attempt_inline(job: Job, index: int, attempt: int, faults_spec) -> Tuple:
         t0 = time.perf_counter()
         result = _simulate_job(job)
         return (True, result, time.perf_counter() - t0, 0.0)
-    except EngineUnavailableError as exc:
-        return (
-            False,
-            ("unavailable", exc.reason, traceback_module.format_exc()),
-            0.0,
-            0.0,
-        )
     except Exception as exc:
         return (
             False,
@@ -909,7 +888,7 @@ class Executor:
                     yield job, ("ok", result, simulate_s, queue_wait_s)
                     break
                 kind, error, tb = envelope[1]
-                if kind == "crash" and attempt < policy.max_attempts:
+                if attempt < policy.max_attempts:
                     delay = backoff_delay(policy, job.key, attempt)
                     if delay:
                         time.sleep(delay)
@@ -994,7 +973,7 @@ class Executor:
                         yield job, ("ok", result, simulate_s, queue_wait_s)
                         continue
                     kind, error, tb = envelope[1]
-                    if kind == "crash" and attempts[index] < policy.max_attempts:
+                    if attempts[index] < policy.max_attempts:
                         ready_at[index] = time.monotonic() + backoff_delay(
                             policy, job.key, attempts[index]
                         )

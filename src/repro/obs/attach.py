@@ -10,9 +10,8 @@ place instrumentation touches the hot path.  The contract it exploits:
   uninstrumented build (the zero-cost-off invariant).
 * The hook's calling convention is declared by the ``_MISS_HOOK`` class
   attribute: ``"columnar"`` for the 5-argument
-  ``(cpu, b, w, st, now) -> lat`` form shared by the run-ahead and
-  vector engines, and ``"legacy"`` for the reference
-  engine's 7-argument ``(cpu, node, l1, b, w, st, now) -> lat`` form.
+  ``(cpu, b, w, st, now) -> lat`` form of the run-ahead engine, and
+  ``"legacy"`` for the reference engine's 7-argument ``(cpu, node, l1, b, w, st, now) -> lat`` form.
 * Every stat mutation a miss performs on behalf of the requester —
   including those made inside the osint page services and the
   protocol policies — lands on the requesting node's ``NodeStats``.
@@ -23,7 +22,7 @@ place instrumentation touches the hot path.  The contract it exploits:
 The wrapper is observational only: it forwards arguments and the
 returned latency untouched and mutates no simulator state, so traced
 runs are bit-identical to untraced ones (pinned by
-``tests/property/test_obs_differential.py`` across all four engines).
+``tests/property/test_obs_differential.py`` on both engines).
 """
 
 from __future__ import annotations

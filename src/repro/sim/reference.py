@@ -25,7 +25,7 @@ Scope: :meth:`ReferenceEngine.__init__` always installs a full-map
 full-map configurations only.  On limited-pointer and coarse-vector
 directories the run-ahead engine's Python loop, which shares the
 canonical :mod:`repro.coherence.directory` implementations, is the
-oracle the compiled core and the vector engine are compared against.
+oracle the compiled core is compared against.
 
 Do not optimize this file.  Its value is being obviously equivalent to
 the semantics the fast engine must preserve.

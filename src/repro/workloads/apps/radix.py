@@ -34,11 +34,11 @@ def build(
     scale: float = 1.0,
     seed: int = 99,
 ) -> Program:
-    # Deferred so `import repro` works in NumPy-free environments (the
-    # simulator itself has no hard dependency); only *generating* this
-    # trace needs NumPy — the key digits and the stable rank permutation
-    # are pinned to its seeded RNG and argsort, so swapping in the
-    # stdlib would silently change every frozen radix result.
+    # Deferred to keep the NumPy import off start-up for commands that
+    # never build radix; only *generating* this trace needs NumPy — the
+    # key digits and the stable rank permutation are pinned to its
+    # seeded RNG and argsort, so swapping in the stdlib would silently
+    # change every frozen radix result.
     import numpy as np
 
     cpus = machine.total_cpus

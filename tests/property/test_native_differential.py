@@ -25,13 +25,13 @@ from repro.common.records import Access
 from repro.sim import simulate, simulate_reference
 
 from tests.conftest import python_loop, tiny_config
+from tests.property.test_directory_repr_differential import INEXACT_PARAMS
 from tests.property.test_runahead_differential import (
     PROTOCOLS,
     _wide_machine_traces,
     assert_identical_results,
     programs,
 )
-from tests.property.test_vector_differential import INEXACT_PARAMS
 
 pytestmark = pytest.mark.usefixtures("native_path")
 

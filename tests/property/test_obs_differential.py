@@ -80,14 +80,6 @@ def test_traced_run_bit_identical(engine, tmp_path):
     assert plain.to_json_dict() == traced.to_json_dict()
 
 
-@pytest.mark.vector
-def test_traced_run_bit_identical_vector(tmp_path):
-    pytest.importorskip("numpy")
-    plain, traced, _ = _run_pair("vector", tmp_path)
-    assert_identical_results(plain, traced)
-    assert plain.to_json_dict() == traced.to_json_dict()
-
-
 @pytest.mark.parametrize("engine", ENGINES)
 def test_emitted_artifacts_pass_schemas(engine, tmp_path):
     _, _, obs = _run_pair(engine, tmp_path)

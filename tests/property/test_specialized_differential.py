@@ -28,10 +28,11 @@ from tests.property.test_runahead_differential import (
     assert_identical_results,
     programs,
 )
-from tests.property.test_vector_differential import TOPOLOGIES
 from tests.test_reset_determinism import _snapshot
 
 pytestmark = pytest.mark.usefixtures("native_path")
+
+TOPOLOGIES = ("uniform", "mesh", "fattree")
 
 
 @given(traces=programs(), protocol=st.sampled_from(PROTOCOLS))

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -183,7 +187,7 @@ def test_engines_shows_native_core_status(capsys, monkeypatch):
     monkeypatch.setattr(native, "_reason", "no C compiler")
     out = run_cli(capsys, "engines")
     (runahead,) = [line for line in out.splitlines() if line.startswith("runahead")]
-    assert runahead.endswith("yes (native core: no C compiler)")
+    assert runahead.endswith("(native core: no C compiler)")
 
     monkeypatch.setattr(native, "_tried", False)
     out = run_cli(capsys, "engines")
@@ -264,3 +268,29 @@ def test_resume_requires_store():
 def test_resume_without_manifest_rejected(tmp_path):
     with pytest.raises(SystemExit, match="no run manifest"):
         main(["reproduce", "--resume", "--store", str(tmp_path)])
+
+
+def test_run_keeps_numpy_off_startup(tmp_path):
+    """Only the radix trace generator needs NumPy (~85 ms to import):
+    a fresh process that imports the CLI and simulates another app
+    must never load it."""
+    code = (
+        "import sys\n"
+        "import repro.cli\n"
+        "code = repro.cli.main(['run', 'em3d', '--protocol', 'rnuma', '--scale', '0.05'])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    repo_root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=str(repo_root),
+        env={
+            **os.environ,
+            "PYTHONPATH": str(repo_root / "src"),
+            "REPRO_STORE_DIR": str(tmp_path / "store"),
+        },
+    )
+    assert proc.returncode == 0, proc.stderr

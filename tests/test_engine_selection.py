@@ -1,15 +1,13 @@
 """Engine-backend selection plumbing: the ``SystemConfig.engine``
-field, the process default, the factory, and the missing-NumPy path.
-
-These run in every environment — including the no-NumPy CI leg, where
-they pin the degradation story (clean :class:`EngineUnavailableError`,
-runahead/reference untouched) rather than being skipped with the
-``vector``-marked suites.
+field, the process default, the factory, and the engines' independence
+from NumPy (only the radix trace generator needs it).
 """
+
+import sys
 
 import pytest
 
-from repro.common.errors import ConfigurationError, EngineUnavailableError
+from repro.common.errors import ConfigurationError
 from repro.common.params import (
     SystemConfig,
     config_from_dict,
@@ -18,7 +16,6 @@ from repro.common.params import (
 )
 from repro.experiments.runner import config_key
 from repro.sim import factory
-from repro.sim import vector as vector_mod
 from repro.sim.engine import SimulationEngine
 from repro.sim.reference import ReferenceEngine
 
@@ -39,7 +36,7 @@ class TestConfigField:
 
     def test_with_engine(self):
         base = tiny_config("ccnuma")
-        assert base.with_engine("vector").engine == "vector"
+        assert base.with_engine("reference").engine == "reference"
         assert base.engine == "runahead"
 
     def test_config_from_dict_defaults_to_runahead(self):
@@ -82,49 +79,14 @@ class TestFactory:
 
     def test_backend_listing_shape(self):
         rows = factory.engine_backends()
-        assert [r["name"] for r in rows] == [
-            "runahead",
-            "reference",
-            "vector",
-        ]
+        assert [r["name"] for r in rows] == list(SystemConfig._ENGINES)
         for row in rows:
             extra = {"native"} if row["name"] == "runahead" else set()
-            assert set(row) == {
-                "name",
-                "summary",
-                "requires",
-                "available",
-                "reason",
-            } | extra
-            # The listing's reason and the availability flag must agree.
-            assert row["available"] == (row["reason"] is None)
-        assert rows[0]["available"] and rows[1]["available"]
-
-    def test_unavailable_reason_strings(self):
-        assert factory.engine_unavailable_reason("runahead") is None
-        assert "unknown engine" in factory.engine_unavailable_reason("specialized")
-        assert "unknown engine" in factory.engine_unavailable_reason("warp")
-
-    def test_vector_without_numpy_raises_cleanly(self, monkeypatch):
-        """Simulate the missing optional dependency: construction fails
-        with the install hint, and availability reporting agrees."""
-        monkeypatch.setattr(vector_mod, "_np", None)
-        assert not vector_mod.numpy_available()
-        assert not factory.engine_available("vector")
-        expected_reason = "NumPy not installed (pip install .[vector])"
-        assert factory.engine_unavailable_reason("vector") == expected_reason
-        with pytest.raises(EngineUnavailableError, match=r"pip install \.\[vector\]") as exc:
-            factory.make_engine(tiny_config("ccnuma", engine="vector"), [[], []])
-        # The error carries the same short reason the listing shows.
-        assert exc.value.reason == expected_reason
-        with pytest.raises(EngineUnavailableError):
-            vector_mod.epoch_index(b"")
-        rows = {r["name"]: r for r in factory.engine_backends()}
-        assert rows["vector"]["reason"] == expected_reason
-        assert not rows["vector"]["available"]
+            assert set(row) == {"name", "summary"} | extra
 
     def test_runahead_and_reference_survive_missing_numpy(self, monkeypatch):
-        monkeypatch.setattr(vector_mod, "_np", None)
+        # A None entry makes any ``import numpy`` raise ImportError.
+        monkeypatch.setitem(sys.modules, "numpy", None)
         traces = [[], []]
         cfg = tiny_config("ccnuma")
         a = factory.simulate_with(cfg, traces)
@@ -133,15 +95,12 @@ class TestFactory:
 
     @pytest.mark.usefixtures("native_path")
     def test_native_core_survives_missing_numpy(self, monkeypatch):
-        """The compiled core calls the OS page services, whose block
-        scan has an optional NumPy fast path.  Patch out both optional
-        import sites and check a real (non-empty) run still matches the
-        reference."""
+        """The compiled core calls back into the OS page services on
+        relocation; with NumPy imports blocked, a real (non-empty) rnuma
+        run still matches the reference."""
         from repro.common.records import Access
-        from repro.osint import services as services_mod
 
-        monkeypatch.setattr(vector_mod, "_np", None)
-        monkeypatch.setattr(services_mod, "_np", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)
         traces = [
             [Access(0, False, 1), Access(64, True, 0)],
             [Access(512, True, 2), Access(0, True, 0)],
@@ -162,17 +121,3 @@ class TestSimulateDispatch:
         for name in ("runahead", "reference"):
             result = simulate(tiny_config("ccnuma", engine=name), traces)
             assert result.exec_cycles == 0
-
-    @pytest.mark.vector
-    def test_simulate_vector_engine_matches(self):
-        from repro.common.records import Access
-        from repro.sim.engine import simulate
-
-        traces = [[Access(0, False, 1), Access(64, True, 0)], [Access(512, True, 2)]]
-        fast = simulate(
-            tiny_config("ccnuma", engine="vector"), [list(t) for t in traces]
-        )
-        slow = simulate(
-            tiny_config("ccnuma", engine="reference"), [list(t) for t in traces]
-        )
-        assert fast.exec_cycles == slow.exec_cycles

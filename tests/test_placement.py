@@ -1,7 +1,5 @@
 """Unit tests for first-touch page placement."""
 
-import pytest
-
 from repro.common.addressing import AddressSpace
 from repro.common.params import MachineParams
 from repro.common.records import Access, Barrier
@@ -87,12 +85,7 @@ class TestPartialPlacementAcrossEngines:
         backend must run the same late-first-touch fallback (the shared
         resolve_home helper) and land on identical results *and* an
         identically completed homes map."""
-        pytest.importorskip("numpy")  # for the vector leg below
-        from repro.sim import (
-            make_engine,
-            simulate_reference,
-            simulate_vector,
-        )
+        from repro.sim import simulate_reference
         from repro.sim.engine import simulate
         from tests.conftest import tiny_config
         from tests.property.test_runahead_differential import (
@@ -110,11 +103,7 @@ class TestPartialPlacementAcrossEngines:
             config = tiny_config(protocol)
             results = []
             completed = []
-            for run in (
-                simulate,
-                simulate_reference,
-                simulate_vector,
-            ):
+            for run in (simulate, simulate_reference):
                 homes = dict(partial)
                 results.append(run(config, [list(t) for t in traces], homes))
                 completed.append(homes)

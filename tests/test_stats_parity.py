@@ -1,4 +1,4 @@
-"""Stats parity across all four engine backends.
+"""Stats parity across the engine backends.
 
 The differential suites already pin ``exec_cycles`` and the aggregate
 result equality; this suite pins the *full statistics surface* — every
@@ -64,17 +64,6 @@ def test_all_engines_agree_on_every_stat(protocol):
     results = {
         engine: simulate(tiny_config(protocol, engine=engine), _traces())
         for engine in BASE_ENGINES
-    }
-    _assert_parity(results)
-
-
-@pytest.mark.vector
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_vector_engine_agrees_on_every_stat(protocol):
-    pytest.importorskip("numpy")
-    results = {
-        engine: simulate(tiny_config(protocol, engine=engine), _traces())
-        for engine in ("runahead", "vector")
     }
     _assert_parity(results)
 

@@ -225,11 +225,14 @@ class TestRemovedEngineEntries:
     """Entries written by an engine backend that no longer exists are
     stale history: reported by verify, removed by gc, never a crash."""
 
+    #: the removed backend the stored entry claims to come from
+    ENGINE = "specialized"
+
     def _removed_engine_entry(self, store, fresh_result):
         store.save(Job(APP, cc_config(), SCALE), fresh_result)
         path = entry_path(store)
         payload = json.loads(path.read_text())
-        payload["result"]["config"]["engine"] = "specialized"
+        payload["result"]["config"]["engine"] = self.ENGINE
         payload["payload_sha256"] = payload_checksum(payload["result"])
         path.write_text(json.dumps(payload))
         return path
@@ -255,3 +258,10 @@ class TestRemovedEngineEntries:
         assert "stale engine  1" in capsys.readouterr().out
         assert main(["store", "gc", "--store", str(tmp_path)]) == 0
         assert "removed 1 stale" in capsys.readouterr().out
+
+
+class TestRemovedVectorBackendEntries(TestRemovedEngineEntries):
+    """The same contract for results stored by the deleted ``vector``
+    backend."""
+
+    ENGINE = "vector"
