@@ -44,9 +44,7 @@ cancels out of it.
 The run-ahead columns time :class:`~repro.sim.engine.SimulationEngine`
 as users run it: on its compiled core when one can be built (the
 ``provenance`` block's ``native_core.status`` records whether it was
-active).  ``--profile`` additionally runs the four miss-dominated
-scenarios on the engine's Python loop under cProfile and records the
-``_miss`` share of run wall time in a ``profile`` section.
+active).
 
 Results are also written as ``benchmarks/BENCH_engine.json`` by
 ``python -m benchmarks.bench_engine`` so the refs/sec trajectory is
@@ -410,11 +408,6 @@ def assert_miss_path_floor(
     return measured
 
 
-#: the miss-dominated scenarios ``--profile`` attributes (plus the
-#: end-to-end mix).
-PROFILE_SCENARIOS = ("app", "miss_stream", "migratory", "page_thrash")
-
-
 #: rounds of the disabled-obs comparison: its 2% tolerance is tighter
 #: than the per-round jitter of a shared host (~5%), so it needs more
 #: rounds than the engine comparison for a stable median.
@@ -506,60 +499,6 @@ def assert_obs_off_floor(numbers: dict, tolerance: float = 0.02) -> float:
     return geomean
 
 
-def profile_miss_share(scale: float = 0.25) -> dict:
-    """Per-scenario ``_miss`` share of run wall time, under cProfile.
-
-    For each of :data:`PROFILE_SCENARIOS`, runs the run-ahead engine's
-    Python loop once under the profiler (the compiled core is opaque
-    to it) and reports the cumulative time spent in ``_miss`` (callees
-    included) as a fraction of the whole run.  cProfile's per-call
-    overhead inflates call-heavy code, so these shares are for
-    *attribution*, not for speedup claims — the wall-clock columns
-    above are the comparison.
-    """
-    import cProfile
-    import pstats
-
-    from repro.sim import native
-
-    n = max(2000, int(200000 * scale))
-    cc = _config(machine=PAPER_MACHINE)
-    cases = {
-        "app": (cc, build_program("em3d", scale=max(0.05, 0.5 * scale))),
-        "miss_stream": (cc, _miss_stream_program(max(1000, n // 4))),
-        "migratory": (cc, _migratory_program(max(4000, n // 2))),
-        "page_thrash": (
-            _page_thrash_config(),
-            _page_thrash_program(max(4000, n // 2)),
-        ),
-    }
-    report = {}
-    saved = native._force_python
-    native._force_python = True
-    try:
-        for name, (config, program) in cases.items():
-            engine = SimulationEngine(config, program)
-            profiler = cProfile.Profile()
-            profiler.enable()
-            engine.run()
-            profiler.disable()
-            stats = pstats.Stats(profiler)
-            total = stats.total_tt
-            miss = max(
-                (
-                    ct
-                    for (_fn, _line, func), (_cc, _nc, _tt, ct, _callers)
-                    in stats.stats.items()
-                    if func == "_miss"
-                ),
-                default=0.0,
-            )
-            report[name] = {"runahead_miss_share": miss / total if total else 0.0}
-    finally:
-        native._force_python = saved
-    return report
-
-
 def measure_allocations(scale: float = 0.1) -> dict:
     """Per-scenario allocation footprint of the columnar engine.
 
@@ -614,11 +553,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="also record each engine's _miss share of wall time "
-             "(cProfile) per miss scenario",
-    )
     args = parser.parse_args(argv)
     scale = args.scale_pos if args.scale_pos is not None else args.scale
 
@@ -648,8 +582,6 @@ def main(argv=None) -> int:
     # a BENCH refresh must not land a tax on the plain hot path).
     numbers["obs_overhead"] = run_obs_overhead(scale=0.1)
     assert_obs_off_floor(numbers["obs_overhead"])
-    if args.profile:
-        numbers["profile"] = profile_miss_share(scale=min(scale, 0.25))
     path = write_bench_json(numbers)
     for name, s in numbers["scenarios"].items():
         print(
@@ -658,12 +590,6 @@ def main(argv=None) -> int:
             f"speedup {s['speedup']:.2f}x  heap_ops/ref {s['heap_ops_per_ref']:.4f}  "
             f"mean_run {s['mean_run_length']:.1f}  miss {s['miss_rate'] * 100:.1f}%"
         )
-    if args.profile:
-        for name, row in numbers["profile"].items():
-            print(
-                f"{name:14s} _miss share (Python loop): "
-                f"{row['runahead_miss_share'] * 100:.0f}%"
-            )
     print(f"wrote {path}")
     return 0
 

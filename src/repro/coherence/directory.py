@@ -79,10 +79,12 @@ set, never a subset, so over-invalidation is the only possible error
 direction.  ``owners`` stays an exact pointer and ``held_masks`` stays
 an exact per-node bit in every representation: was-held is the paper's
 separate refetch-detection state, orthogonal to how sharers are
-encoded.  The engine's read-only probes (owner check, sole-copy check)
-therefore work unchanged; only the mutating requests differ, which is
-why the engine routes them through the canonical methods for non-full-
-map representations (see ``SimulationEngine._dir_inline``).
+encoded.  The compiled core (:mod:`repro.sim.native`), the only reader
+of these columns outside this module, therefore probes them unchanged
+(owner check, sole-copy check); only the mutating requests differ,
+which is why it routes them through the canonical methods for
+non-full-map representations (see ``SimulationEngine._dir_inline``).
+The engine's Python loop calls the methods for every representation.
 """
 
 from __future__ import annotations
@@ -143,9 +145,10 @@ class Directory:
 
     def __init__(self) -> None:
         # Public columns on purpose (same contract as L1Cache.block_at):
-        # the engine probes owner/sharer state directly on its miss
-        # path, and all four containers keep their identity for the
-        # directory's lifetime (reset() clears them in place).
+        # the compiled core (repro.sim.native) reads and updates them
+        # directly on its miss path, and all four containers keep their
+        # identity for the directory's lifetime (reset() clears them in
+        # place).
         self.slots: Dict[int, int] = {}
         self.owners: List[int] = []
         self.sharer_masks: List[int] = []

@@ -88,10 +88,11 @@ class Node:
             self.block_cache = BlockCache.infinite_cache()
         else:
             self.block_cache = BlockCache(caches.block_cache_blocks(space))
-        # The block cache's raw columns as one tuple — None when the
-        # cache is infinite (dict-backed) or absent, in which case the
-        # engine falls back to the method API.  Same identity-stability
-        # argument as l1_arrays.
+        # The block cache's raw columns as one tuple, read only by the
+        # compiled core (repro.sim.native) — None when the cache is
+        # infinite (dict-backed) or absent, in which case the core falls
+        # back to the method API.  Same identity-stability argument as
+        # l1_arrays.
         bc = self.block_cache
         if bc.is_infinite or bc.num_blocks == 0:
             self.bc_cols = None

@@ -37,16 +37,21 @@ another CPU's event comes first.  See docs/architecture.md
 Columnar miss path
 ------------------
 
-The miss path allocates no objects.  The directory returns a packed
-outcome int (refetch bit, previous owner, invalidation bitmask — see
+The miss path allocates no objects.  It calls the canonical
+:class:`~repro.coherence.directory.Directory`,
+:class:`~repro.caches.block_cache.BlockCache`, bus
+:class:`~repro.interconnect.resource.BusyResource` and
+:class:`~repro.interconnect.network.Network` methods for every request;
+the compiled core (:mod:`repro.sim.native`) is the one place they are
+transcribed for speed.  The directory returns a packed outcome int
+(refetch bit, previous owner, invalidation bitmask — see
 :mod:`repro.coherence.directory`) decoded with shifts; sharers iterate
 via ``mask & -mask`` bit tricks.  The block cache answers packed-int
-probes against its ``array('q')``/``bytearray`` columns, page-cache
-recency moves are array-index relinks, and L1 victims are read straight
-out of the L1 arrays instead of materializing (block, state) tuples.
-Hot cross-object references (costs, directory, network) are bound once
-at construction.  See docs/architecture.md ("Memory-system state
-layout").
+probes, page-cache recency moves are array-index relinks, and L1
+victims are read straight out of the L1 arrays instead of materializing
+(block, state) tuples.  Hot cross-object references (costs, directory,
+network) are bound once at construction.  See docs/architecture.md
+("Memory-system state layout").
 
 Traces are consumed in their packed columnar form (one ``array('q')``
 of 64-bit words per CPU, see :mod:`repro.common.records`): the hot
@@ -75,13 +80,13 @@ oracle.
 from __future__ import annotations
 
 import heapq
+from math import inf
 from typing import Dict, List, Optional, Sequence
 
 from repro.caches.finegrain import BLOCK_INVALID, BLOCK_READONLY, BLOCK_WRITABLE
 from repro.caches.l1 import EMPTY as L1_EMPTY
 from repro.coherence.directory import (
     Directory,
-    NO_OWNER,
     OUT_INVAL_SHIFT,
     OUT_OWNER_MASK,
     OUT_OWNER_SHIFT,
@@ -222,22 +227,20 @@ class SimulationEngine:
         self._directory = self.machine.directory
         self._network = self.machine.network
         self._nodes = self.machine.nodes
+        # Read only by the compiled core (repro.sim.native), which
+        # transcribes the full-map directory requests and the uniform-
+        # fabric round trip onto these columns and constants; the
+        # Python loop calls the canonical Directory and Network methods.
+        # Inexact directory representations (limited-pointer / coarse-
+        # vector) carry extra per-slot state, so the core routes their
+        # mutating requests through the canonical methods too
+        # (``_dir_inline`` false).  All keep their identity for the life
+        # of the machine (reset() works in place).
         self._dir_slots = self.machine.directory.slots
         self._dir_owners = self.machine.directory.owners
         self._dir_sharers = self.machine.directory.sharer_masks
         self._dir_held = self.machine.directory.held_masks
-        # The inlined directory mutations below hand-transcribe the
-        # exact full-map request semantics.  Inexact representations
-        # (limited-pointer / coarse-vector) carry extra per-slot state
-        # and different update rules, so their mutating requests go
-        # through the canonical Directory methods; read-only probes
-        # (owner pointer, conservative sharer mask) stay inlined for
-        # every representation because those columns keep exact-or-
-        # superset semantics across all of them.
         self._dir_inline = type(self.machine.directory) is Directory
-        # Uniform-fabric facts for the inlined round trip in
-        # _remote_fetch (the Network object keeps its identity and its
-        # links list is fixed per topology).
         self._uniform_net = not self.machine.network.links
         self._net_latency = self.machine.network.latency
         self._ni_occ = config.costs.ni_occupancy
@@ -363,66 +366,35 @@ class SimulationEngine:
             # straight back, so executing here is schedule-exact (ties
             # break by cpu id through tuple order, same as the heap).
             # The drain leaves the heap untouched, so the head bound is
-            # loop-invariant.
+            # loop-invariant.  An empty heap (every other cpu parked at
+            # a barrier, or done) is a head of +inf: nothing preempts.
             it, blocks, states, lmask = ctxs[cpu]
-            if not heap:
-                # Every other cpu is parked at a barrier (or done), so
-                # nothing can preempt this one: drain with no boundary
-                # check at all.  Misses never add heap events; only a
-                # barrier (ours, completing) can repopulate the heap,
-                # and that path breaks out to re-select the drain kind.
-                for word in it:
-                    if word < 0:
-                        ident = -1 - word
-                        arrivals = barrier_arrivals.setdefault(ident, [])
-                        arrivals.append((t, cpu))
-                        if len(arrivals) == n_cpus:
-                            release = max(at for at, _ in arrivals) + barrier_cost
-                            base = release * n_cpus
-                            for at, c2 in arrivals:
-                                nodes[c2].stats.barrier_wait_cycles += release - at
-                                heappush(heap, base + c2)
-                            barrier_pushes += n_cpus
-                            del barrier_arrivals[ident]
-                            self.machine.stats.barriers_crossed += 1
-                            t, cpu = divmod(heappop(heap), n_cpus)
-                            rare_pops += 1
-                        else:
-                            running = False
-                        break
-                    b = word >> block_unpack
-                    idx = b & lmask
-                    if blocks[idx] == b and (
-                        not word & 1
-                        or (st := states[idx]) >= MODIFIED
-                        or st == EXCLUSIVE
-                    ):
-                        if word & 1 and st == EXCLUSIVE:
-                            states[idx] = MODIFIED
-                        t += ((word >> 1) & think_mask) + 1
-                    else:
-                        now = t + ((word >> 1) & think_mask)
-                        st = states[idx] if blocks[idx] == b else INVALID
-                        nid = node_of[cpu]
-                        latency = miss(cpu, b, word & 1, st, now)
-                        misses_acc[nid] += 1
-                        stall_acc[nid] += latency
-                        t = now + 1 + latency
-                else:
-                    finish[cpu] = t
-                    running = False
-                continue
-            head = heap[0]
+            head = heap[0] if heap else inf
             for word in it:
                 if word < 0:
                     # Barrier: park this cpu until everyone arrives.
-                    # The barrier cannot complete here — every cpu
-                    # still in the (non-empty) heap has yet to arrive —
-                    # so parking always hands the machine to the head.
-                    arrivals = barrier_arrivals.setdefault(-1 - word, [])
+                    # Only the last arrival completes it, and that cpu
+                    # found the heap empty (every other cpu is parked
+                    # here); otherwise parking hands the machine to the
+                    # head.
+                    ident = -1 - word
+                    arrivals = barrier_arrivals.setdefault(ident, [])
                     arrivals.append((t, cpu))
-                    t, cpu = divmod(heappop(heap), n_cpus)
-                    rare_pops += 1
+                    if len(arrivals) == n_cpus:
+                        release = max(at for at, _ in arrivals) + barrier_cost
+                        base = release * n_cpus
+                        for at, c2 in arrivals:
+                            nodes[c2].stats.barrier_wait_cycles += release - at
+                            heappush(heap, base + c2)
+                        barrier_pushes += n_cpus
+                        del barrier_arrivals[ident]
+                        self.machine.stats.barriers_crossed += 1
+                    if heap:
+                        t, cpu = divmod(heappop(heap), n_cpus)
+                        rare_pops += 1
+                    else:
+                        # Deadlock: _settle reports the pending barrier.
+                        running = False
                     break
                 # Access: addr/think/write unpacked straight from the
                 # word.  A resident line (tag match) always hits a read;
@@ -458,8 +430,11 @@ class SimulationEngine:
                 # Trace exhausted: the cpu retires at its current clock
                 # (exactly when the classic loop's final pop would be).
                 finish[cpu] = t
-                t, cpu = divmod(heappop(heap), n_cpus)
-                rare_pops += 1
+                if heap:
+                    t, cpu = divmod(heappop(heap), n_cpus)
+                    rare_pops += 1
+                else:
+                    running = False
 
         return (
             finish,
@@ -529,11 +504,9 @@ class SimulationEngine:
     # miss path
     #
     # Everything below runs once per L1 miss and allocates nothing:
-    # directory outcomes are packed ints, block-cache state is probed
-    # out of flat columns, and L1 victims are read in place.  The read
-    # and write handlers are merged into one body with a shared
-    # install-into-L1 tail, so a miss costs one Python call for the
-    # intra-node cases and two or three for the inter-node ones.
+    # directory outcomes and block-cache probes are packed ints, and
+    # L1 victims are read in place.  The read and write handlers are
+    # merged into one body with a shared install-into-L1 tail.
     # ------------------------------------------------------------------
 
     def _miss(self, cpu: int, b: int, w: int, st: int, now: int) -> int:
@@ -555,18 +528,8 @@ class SimulationEngine:
                 lat += self.policy.on_page_fault(self.machine, node, g)
                 mapping = pmap.get(g, MAP_UNMAPPED)
 
-        # Every miss is a bus transaction on the node's memory bus
-        # (the BusyResource acquire, inlined: bus_occupancy was
-        # validated non-negative by CostParams).
-        occ = costs.bus_occupancy
-        arrival = now + lat
-        start = bus.free_at
-        if arrival > start:
-            start = arrival
-        bus.free_at = start + occ
-        bus.busy_cycles += occ
-        bus.transactions += 1
-        lat += start - arrival
+        # Every miss is a bus transaction on the node's memory bus.
+        lat += bus.acquire(now + lat, costs.bus_occupancy)
         now += lat
 
         if not w:
@@ -594,50 +557,26 @@ class SimulationEngine:
                 ns.local_fills += 1
                 lat += costs.local_fill
             elif mapping == MAP_LOCAL:
-                # Directory.home_read_access, inlined on the bound
-                # columns: a remote exclusive owner (if any) is recalled
-                # and cleared; nothing else changes.
-                ds = self._dir_slots.get(b)
-                if ds is None:
-                    prev_owner = -1
-                else:
-                    prev_owner = self._dir_owners[ds]
-                    if prev_owner == nid:
-                        prev_owner = -1
-                    elif prev_owner >= 0:
-                        self._dir_owners[ds] = -1
+                # A remote exclusive owner (if any) is recalled.
+                directory = self._directory
+                out = directory.home_read_access(b, nid)
+                prev_owner = ((out >> OUT_OWNER_SHIFT) & OUT_OWNER_MASK) - 1
                 if b in node.coherence_lost:
                     ns.coherence_misses += 1
                     node.coherence_lost.discard(b)
                 if prev_owner >= 0:
                     # Recall the dirty copy from the remote owner.
                     lat += costs.remote_fetch
-                    lat += self._round_trip(nid, prev_owner, now, 0)
+                    lat += self._network.round_trip_delay(nid, prev_owner, now)
                     self._downgrade_node(prev_owner, b, g)
                     ns.remote_fetches += 1
                 else:
                     lat += costs.local_fill
                     ns.local_fills += 1
-                # Sole-copy check, inlined: no peer L1 holds it and the
-                # directory lists no sharers (ds was fetched above).
-                sole = True
-                for pmask, pblocks, _pstates in peers:
-                    if pblocks[b & pmask] == b:
-                        sole = False
-                        break
-                if sole and (ds is None or not self._dir_sharers[ds]):
+                if self._no_peer_copies(peers, b) and not directory.sharers_mask(b):
                     state = EXCLUSIVE  # no cache anywhere holds it
             elif mapping == MAP_CC:
-                cols = node.bc_cols
-                if cols is None:
-                    flags = node.block_cache.probe(b)
-                else:
-                    bmask, bblocks, bwrit, bdirt = cols
-                    bidx = b & bmask
-                    if bblocks[bidx] == b:
-                        flags = bwrit[bidx] | (bdirt[bidx] << 1)
-                    else:
-                        flags = -1
+                flags = node.block_cache.probe(b)
                 if flags >= 0:
                     ns.block_cache_hits += 1
                     ns.local_fills += 1
@@ -651,32 +590,8 @@ class SimulationEngine:
                     # (R-NUMA).
                     if pmap.get(g, MAP_UNMAPPED) == MAP_SCOMA:
                         self._scoma_install(node, b, g, writable=False)
-                    elif cols is None:
-                        self._block_cache_install(node, b, g, writable=False, now=now)
                     else:
-                        # _block_cache_install, inlined on the columns.
-                        bmask, bblocks, bwrit, bdirt = cols
-                        bidx = b & bmask
-                        resident = bblocks[bidx]
-                        if (
-                            resident >= 0
-                            and resident != b
-                            and (bwrit[bidx] or bdirt[bidx])
-                        ):
-                            for pmask, pblocks, pstates in node.l1_arrays:
-                                vdx = resident & pmask
-                                if pblocks[vdx] == resident:
-                                    pblocks[vdx] = L1_EMPTY
-                                    pstates[vdx] = INVALID
-                            self._directory.writeback(resident, nid)
-                            vg = resident >> self._block_page_shift
-                            self._network.one_way_delay(
-                                nid, now, dst=self.homes.get(vg, nid)
-                            )
-                            ns.block_cache_writebacks += 1
-                        bblocks[bidx] = b
-                        bwrit[bidx] = 0
-                        bdirt[bidx] = 0
+                        self._block_cache_install(node, b, g, writable=False, now=now)
             else:
                 # MAP_SCOMA
                 row = node.tag_rows.get(g)
@@ -698,26 +613,11 @@ class SimulationEngine:
             # -- write -----------------------------------------------------
             state = MODIFIED
             if mapping == MAP_LOCAL:
-                # Directory.home_write_access, inlined on the bound
-                # columns: every remote copy is invalidated and cleared
-                # from was-held (their next miss is a coherence miss).
-                ds = self._dir_slots.get(b) if self._dir_inline else None
-                if ds is None:
-                    if self._dir_inline or b not in self._dir_slots:
-                        inval = 0
-                        prev_owner = -1
-                    else:
-                        out = self._directory.home_write_access(b, nid)
-                        prev_owner = ((out >> OUT_OWNER_SHIFT) & OUT_OWNER_MASK) - 1
-                        inval = out >> OUT_INVAL_SHIFT
-                else:
-                    prev_owner = self._dir_owners[ds]
-                    if prev_owner == nid:
-                        prev_owner = -1
-                    inval = self._dir_sharers[ds] & ~(1 << nid)
-                    self._dir_owners[ds] = NO_OWNER
-                    self._dir_sharers[ds] = 0
-                    self._dir_held[ds] = 0
+                # Every remote copy is invalidated and cleared from
+                # was-held (their next miss is a coherence miss).
+                out = self._directory.home_write_access(b, nid)
+                prev_owner = ((out >> OUT_OWNER_SHIFT) & OUT_OWNER_MASK) - 1
+                inval = out >> OUT_INVAL_SHIFT
                 if inval:
                     ns.invalidations_sent += inval.bit_count()
                 if b in node.coherence_lost:
@@ -739,7 +639,7 @@ class SimulationEngine:
                         if prev_owner >= 0
                         else (inval & -inval).bit_length() - 1
                     )
-                    lat += self._round_trip(nid, target, now, 0)
+                    lat += self._network.round_trip_delay(nid, target, now)
                     ns.remote_fetches += 1
                 elif st != INVALID:
                     lat += costs.sram_access  # local upgrade, no data transfer
@@ -755,9 +655,7 @@ class SimulationEngine:
                             break
             elif mapping == MAP_CC:
                 bc = node.block_cache
-                cols = node.bc_cols
-                ds = self._dir_slots.get(b)
-                if ds is not None and self._dir_owners[ds] == nid:
+                if self._directory.owner_of(b) == nid:
                     # Node already has exclusive rights: intra-node
                     # service — supply from a peer L1 (M/O/E), upgrade a
                     # resident line in place, or fill from the node store.
@@ -776,55 +674,17 @@ class SimulationEngine:
                     else:
                         ns.local_fills += 1
                         lat += costs.local_fill
-                    if cols is None:
-                        bc.mark_dirty(b)
-                    else:
-                        bmask, bblocks, bwrit, bdirt = cols
-                        bidx = b & bmask
-                        if bblocks[bidx] == b:
-                            bwrit[bidx] = 1
-                            bdirt[bidx] = 1
+                    bc.mark_dirty(b)
                 else:
-                    if st != INVALID:
-                        holds_copy = True
-                    elif cols is None:
-                        holds_copy = bc.probe(b) >= 0
-                    else:
-                        holds_copy = cols[1][b & cols[0]] == b
+                    holds_copy = st != INVALID or bc.probe(b) >= 0
                     if not holds_copy:
                         ns.block_cache_misses += 1
                     lat += self._remote_fetch(node, b, g, True, now, holds_copy)
                     if pmap.get(g, MAP_UNMAPPED) == MAP_SCOMA:
                         self._scoma_install(node, b, g, writable=True)
-                    elif cols is None:
+                    else:
                         self._block_cache_install(node, b, g, writable=True, now=now)
                         bc.mark_dirty(b)
-                    else:
-                        # _block_cache_install + mark_dirty, fused on
-                        # the columns (the fresh line is immediately
-                        # written, so it installs writable and dirty).
-                        bmask, bblocks, bwrit, bdirt = cols
-                        bidx = b & bmask
-                        resident = bblocks[bidx]
-                        if (
-                            resident >= 0
-                            and resident != b
-                            and (bwrit[bidx] or bdirt[bidx])
-                        ):
-                            for pmask, pblocks, pstates in node.l1_arrays:
-                                vdx = resident & pmask
-                                if pblocks[vdx] == resident:
-                                    pblocks[vdx] = L1_EMPTY
-                                    pstates[vdx] = INVALID
-                            self._directory.writeback(resident, nid)
-                            vg = resident >> self._block_page_shift
-                            self._network.one_way_delay(
-                                nid, now, dst=self.homes.get(vg, nid)
-                            )
-                            ns.block_cache_writebacks += 1
-                        bblocks[bidx] = b
-                        bwrit[bidx] = 1
-                        bdirt[bidx] = 1
             else:
                 # MAP_SCOMA
                 off = b & self._bpp_mask
@@ -878,22 +738,9 @@ class SimulationEngine:
                 vg = vb >> self._block_page_shift
                 vmapping = pmap.get(vg, MAP_UNMAPPED)
                 if vmapping == MAP_CC:
-                    cols = node.bc_cols
-                    if cols is not None:
-                        bmask, bblocks, bwrit, bdirt = cols
-                        vidx = vb & bmask
-                        if bblocks[vidx] == vb:
-                            bwrit[vidx] = 1
-                            bdirt[vidx] = 1
-                        else:
-                            # No block-cache frame (displaced): write
-                            # straight home.
-                            self._directory.writeback(vb, nid)
-                            self._network.one_way_delay(
-                                nid, now, dst=self.homes.get(vg, nid)
-                            )
-                            ns.block_cache_writebacks += 1
-                    elif not node.block_cache.mark_dirty(vb):
+                    if not node.block_cache.mark_dirty(vb):
+                        # No block-cache frame (displaced): write
+                        # straight home.
                         self._directory.writeback(vb, nid)
                         self._network.one_way_delay(
                             nid, now, dst=self.homes.get(vg, nid)
@@ -915,13 +762,6 @@ class SimulationEngine:
             if lblocks[b & lmask] == b:
                 return False
         return True
-
-    def _invalidate_local_copies(self, node: Node, b: int, exclude_slot: int) -> None:
-        for l1 in node.peer_l1s[exclude_slot]:
-            idx = b & l1.mask
-            if l1.block_at[idx] == b:
-                l1.block_at[idx] = L1_EMPTY
-                l1.state_at[idx] = INVALID
 
     def _block_cache_install(self, node: Node, b: int, g: int, writable: bool, now: int) -> None:
         """Install a freshly fetched block, evicting as needed.
@@ -956,41 +796,6 @@ class SimulationEngine:
 
     # -- inter-node ------------------------------------------------------
 
-    def _round_trip(self, src: int, dst: int, now: int, extra: int) -> int:
-        """Network.round_trip_delay, specialized: the uniform fabric
-        pays NI + RAD queueing only (no internal links), with the
-        resource acquires inlined.  Non-uniform fabrics route through
-        ``_traverse`` exactly as the canonical method does; the
-        conservation and topology differential tests pin equivalence.
-        """
-        net = self._network
-        net.messages += 1
-        net.round_trips += 1
-        ni_occ = self._ni_occ
-        ni = net.nis[src]
-        start = ni.free_at
-        if now > start:
-            start = now
-        ni.free_at = start + ni_occ
-        ni.busy_cycles += ni_occ
-        ni.transactions += 1
-        wait = start - now
-        depart = now + wait + ni_occ
-        if self._uniform_net:
-            arrive = depart + self._net_latency
-        else:
-            arrive = net._traverse(src, dst, depart) + self._net_latency
-            wait = arrive - self._net_latency - ni_occ - now
-        rad = net.rads[dst]
-        rad_occ = self._rad_occ + extra
-        start = rad.free_at
-        if arrive > start:
-            start = arrive
-        rad.free_at = start + rad_occ
-        rad.busy_cycles += rad_occ
-        rad.transactions += 1
-        return wait + start - arrive
-
     def _remote_fetch(
         self, node: Node, b: int, g: int, write: bool, now: int, upgrade: bool = False
     ) -> int:
@@ -1003,24 +808,8 @@ class SimulationEngine:
         home = self.homes[g]
 
         if write:
-            # Directory.write_request, inlined on the bound columns
-            # (first touch of a block, and every request against an
-            # inexact representation, takes the canonical method).
-            ds = self._dir_slots.get(b) if self._dir_inline else None
-            if ds is None:
-                out = self._directory.write_request(b, nid, upgrade=upgrade)
-                refetch = out & 1
-                inval = out >> OUT_INVAL_SHIFT
-            else:
-                owners = self._dir_owners
-                owner = owners[ds]
-                refetch = 0
-                if not upgrade and owner != nid:
-                    refetch = (self._dir_held[ds] >> nid) & 1
-                inval = self._dir_sharers[ds] & ~nbit
-                self._dir_sharers[ds] = nbit
-                self._dir_held[ds] = nbit
-                owners[ds] = nid
+            out = self._directory.write_request(b, nid, upgrade=upgrade)
+            inval = out >> OUT_INVAL_SHIFT
             n_inval = inval.bit_count()
             node.stats.invalidations_sent += n_inval
             extra = costs.invalidate_per_sharer * n_inval
@@ -1043,28 +832,11 @@ class SimulationEngine:
             if had_copy:
                 home_node.coherence_lost.add(b)
         else:
-            # Directory.read_request, inlined on the bound columns.
-            ds = self._dir_slots.get(b) if self._dir_inline else None
-            if ds is None:
-                out = self._directory.read_request(b, nid)
-                refetch = out & 1
-                prev_owner = ((out >> OUT_OWNER_SHIFT) & OUT_OWNER_MASK) - 1
-                # Limited-pointer eviction overflow sheds a sharer on a
-                # *read*: fan the eviction out like a write invalidation.
-                evict = out >> OUT_INVAL_SHIFT
-            else:
-                owners = self._dir_owners
-                owner = owners[ds]
-                refetch = (self._dir_held[ds] >> nid) & 1
-                prev_owner = -1
-                if owner >= 0 and owner != nid:
-                    prev_owner = owner
-                    owners[ds] = NO_OWNER
-                elif owner == nid:
-                    owners[ds] = NO_OWNER
-                self._dir_sharers[ds] |= nbit
-                self._dir_held[ds] |= nbit
-                evict = 0
+            out = self._directory.read_request(b, nid)
+            prev_owner = ((out >> OUT_OWNER_SHIFT) & OUT_OWNER_MASK) - 1
+            # Limited-pointer eviction overflow sheds a sharer on a
+            # *read*: fan the eviction out like a write invalidation.
+            evict = out >> OUT_INVAL_SHIFT
             extra = 0
             if evict:
                 n_evict = evict.bit_count()
@@ -1082,7 +854,7 @@ class SimulationEngine:
                 if lblocks[idx] == b:
                     lstates[idx] = SHARED
 
-        lat = costs.remote_fetch + self._round_trip(nid, home, now, extra)
+        lat = costs.remote_fetch + self._network.round_trip_delay(nid, home, now, extra)
         node.stats.remote_fetches += 1
 
         requesters = machine.page_requesters
@@ -1091,7 +863,7 @@ class SimulationEngine:
             writers = machine.page_writers
             writers[g] = writers.get(g, 0) | nbit
 
-        if refetch:
+        if out & 1:  # refetch
             node.stats.refetches += 1
             machine.record_refetch(nid, g)
             lat += self.policy.on_refetch(machine, node, g)
