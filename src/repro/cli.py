@@ -69,7 +69,6 @@ from repro.common.params import (
     base_rnuma_config,
     base_scoma_config,
     ideal_config,
-    set_default_engine,
 )
 from repro.experiments import (
     compute_directory_scaling,
@@ -422,16 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep_p.add_argument("--scale", type=float, default=1.0)
     rep_p.add_argument("--apps", nargs="*", default=None)
-    rep_p.add_argument(
-        "--engine",
-        choices=SystemConfig._ENGINES,
-        default="runahead",
-        help=(
-            "engine backend for the whole sweep (default: runahead; "
-            "backends are bit-identical, so figures and tables do not "
-            "change — only wall time and store provenance do)"
-        ),
-    )
     rep_p.add_argument(
         "--profile",
         action="store_true",
@@ -806,13 +795,6 @@ def _resume_reproduce(args: argparse.Namespace, executor: Executor) -> int:
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     """Full paper sweep: one deduplicated job set, one executor."""
     import time
-
-    # The figure/table modules build their SystemConfigs internally, so
-    # the backend choice rides on the process-wide default: every config
-    # constructed below (including by the render-phase compute calls)
-    # resolves it at construction into a concrete ``engine`` field,
-    # which then travels to worker processes inside the pickled config.
-    set_default_engine(args.engine)
 
     executor = _make_executor(args)
     if args.heartbeat:

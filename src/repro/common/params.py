@@ -269,7 +269,8 @@ class ObsParams:
     (the default) the instrumentation layer is structurally absent: no
     hook is installed, no obs module is imported, and the engines run
     the exact same code they run without this class existing — a
-    contract gated by ``benchmarks/bench_engine.assert_obs_off_floor``.
+    contract gated by ``benchmarks/bench_engine.assert_obs_off_floor``
+    on the paper's ten applications.
 
     ``trace_path``
         Destination for a Chrome-trace-event JSON file (loadable in
@@ -372,31 +373,6 @@ class RetryPolicy:
         return self.retries + 1
 
 
-# Process-wide default engine backend, resolved into any SystemConfig
-# constructed with engine="default".  ``reproduce --engine`` flips this
-# once, up front, so every config the sweep's figure/table modules
-# build — jobs and render-phase lookups alike — lands on one backend
-# and one set of store keys.
-_default_engine = "runahead"
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process default engine backend; returns the previous one.
-
-    Only configs constructed with ``engine="default"`` (the field
-    default) are affected, and only from this call onward; explicit
-    ``engine=`` arguments and already-built configs keep their value.
-    """
-    global _default_engine
-    if engine not in SystemConfig._ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {SystemConfig._ENGINES}"
-        )
-    previous = _default_engine
-    _default_engine = engine
-    return previous
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """A complete system description handed to the simulator.
@@ -430,10 +406,8 @@ class SystemConfig:
     Both are bit-identical by contract (the differential property
     suites pin it), so the choice affects wall time only; it still
     participates in the result-store identity because stored timings
-    must be attributable to the backend that produced them.  The
-    literal ``"default"`` resolves to the process-wide default engine
-    (:func:`set_default_engine`), which ``reproduce --engine`` uses to
-    steer every config a sweep constructs.
+    must be attributable to the backend that produced them.
+    ``"reference"`` simulates the full-map directory only.
     """
 
     protocol: str = "rnuma"
@@ -452,9 +426,8 @@ class SystemConfig:
     #: "flush" — a less aggressive one flushes them home and refetches
     #: on demand, making C_relocate ~ C_allocate (bound ~3).
     relocation_mode: str = "local"
-    #: simulation engine backend; "default" resolves at construction to
-    #: the process default (normally "runahead").
-    engine: str = "default"
+    #: simulation engine backend
+    engine: str = "runahead"
     #: observability settings (event tracing / metrics sampling).
     #: Excluded from equality, hashing, run keys, and serialized
     #: payloads: instrumentation never changes what a run computes,
@@ -487,8 +460,6 @@ class SystemConfig:
                 f"unknown relocation_mode {self.relocation_mode!r}; "
                 f"expected one of {self._RELOCATION_MODES}"
             )
-        if self.engine == "default":
-            object.__setattr__(self, "engine", _default_engine)
         if self.engine not in self._ENGINES:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; "

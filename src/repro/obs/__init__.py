@@ -10,7 +10,8 @@ simulator.  Three design rules govern everything in it:
    miss hook at engine-construction time (:mod:`repro.obs.attach`),
    and disabling it leaves the engine byte-for-byte the code it was
    before this package existed.  ``benchmarks/bench_engine.py`` gates
-   the disabled-path cost (``assert_obs_off_floor``).
+   the disabled-path cost on the paper's ten applications
+   (``assert_obs_off_floor``).
 2. **Observational only when on.**  The hooks read simulator state and
    forward return values untouched; a traced run produces bit-identical
    :class:`~repro.sim.results.SimulationResult`\\ s to an untraced one
@@ -36,8 +37,8 @@ Modules
 ``report``
     Summaries of emitted trace/metrics files (``python -m repro report``).
 ``provenance``
-    Git/host/timestamp provenance blocks shared by the benchmarks and
-    the experiment executor's run manifests.
+    Git/host/timestamp provenance blocks shared by the engine benchmark
+    record and the experiment executor's run manifests.
 """
 
 from repro.obs.provenance import provenance_block

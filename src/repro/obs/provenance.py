@@ -1,10 +1,11 @@
 """Provenance blocks: who produced a result file, where, and from what.
 
-Benchmarks (``BENCH_*.json``), run manifests, and metrics streams all
-embed the same block so any recorded number can be traced back to a
-commit, a host, and a moment in time.  Everything degrades gracefully:
-outside a git checkout the git fields read ``"unknown"`` rather than
-raising, because provenance must never break the run it describes.
+The engine benchmark record (``benchmarks/BENCH_engine.json``), run
+manifests, and metrics streams all embed the same block so any
+recorded number can be traced back to a commit, a host, and a moment
+in time.  Everything degrades gracefully: outside a git checkout the
+git fields read ``"unknown"`` rather than raising, because provenance
+must never break the run it describes.
 """
 
 from __future__ import annotations
@@ -73,10 +74,9 @@ def provenance_block() -> Dict[str, Any]:
     ``python``, ``implementation``, ``numpy`` (version or
     ``"absent"``), ``platform``, ``host_cpus``, and ``native_core``
     (the run-ahead engine's compiled core: ``status`` and
-    ``source_sha256``, see :func:`repro.sim.native.provenance`).  The
-    interpreter/host keys match what ``benchmarks/bench_engine.py`` has
-    recorded since PR 7, so old and new ``BENCH_*.json`` files stay
-    comparable.
+    ``source_sha256``, see :func:`repro.sim.native.provenance`).
+    ``benchmarks/BENCH_engine.json`` records it, so a recorded floor
+    can be traced to the host and core that set it.
 
     Reporting the core's status takes one build attempt when the core
     is not cached yet, so a tool that records provenance before it

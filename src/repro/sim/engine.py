@@ -133,9 +133,9 @@ class SimulationEngine:
     per-CPU Access/Barrier sequences.
 
     After :meth:`run`, ``sched_stats`` holds scheduler-level counters
-    (references executed, heap pops/pushes, drain count) that the
-    engine benchmarks report as heap-ops-per-reference and mean
-    run-ahead length.
+    (references executed, heap pops/pushes, drain count); the tests
+    check them against the trace and the engine benchmark reads its
+    reference count from them.
     """
 
     #: Calling convention of ``_miss``, for :mod:`repro.obs.attach`:

@@ -16,16 +16,18 @@ It is the differential-testing oracle: the columnar engine is correct
 precisely when it produces bit-identical
 :class:`~repro.sim.results.SimulationResult`s to this loop on every
 input (see ``tests/property/test_runahead_differential.py``), and the
-honest baseline for ``benchmarks/bench_engine.py``'s speedup numbers —
-the ratio measures the scheduler *and* the state-layout overhaul.
+honest baseline for the engine floor in ``benchmarks/bench_engine.py``
+— the ratio measures the scheduler *and* the state-layout overhaul.
 
-Scope: :meth:`ReferenceEngine.__init__` always installs a full-map
-:class:`~repro.sim.legacy.LegacyDirectory`, whatever
-``SystemConfig.directory`` asks for, so this engine is an oracle for
-full-map configurations only.  On limited-pointer and coarse-vector
-directories the run-ahead engine's Python loop, which shares the
-canonical :mod:`repro.coherence.directory` implementations, is the
-oracle the compiled core is compared against.
+Scope: the frozen :class:`~repro.sim.legacy.LegacyDirectory` is a full
+map, so :meth:`ReferenceEngine.__init__` rejects any other
+``SystemConfig.directory`` representation with a
+:class:`~repro.common.errors.ConfigurationError` rather than silently
+simulating the full map under the inexact config's key.  On
+limited-pointer and coarse-vector directories the run-ahead engine's
+Python loop, which shares the canonical
+:mod:`repro.coherence.directory` implementations, is the oracle the
+compiled core is compared against.
 
 Do not optimize this file.  Its value is being obviously equivalent to
 the semantics the fast engine must preserve.
@@ -39,7 +41,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.caches.finegrain import BLOCK_INVALID, BLOCK_READONLY, BLOCK_WRITABLE
 from repro.caches.l1 import EMPTY as L1_EMPTY
 from repro.coherence.states import EXCLUSIVE, INVALID, MODIFIED, OWNED, SHARED
-from repro.common.errors import TraceError
+from repro.common.errors import ConfigurationError, TraceError
 from repro.common.params import SystemConfig
 from repro.common.records import ADDR_SHIFT, THINK_MASK
 from repro.machine.node import Node
@@ -69,6 +71,12 @@ class ReferenceEngine(SimulationEngine):
         traces: Sequence[Sequence[object]],
         homes: Optional[Dict[int, int]] = None,
     ) -> None:
+        if config.directory.representation != "fullmap":
+            raise ConfigurationError(
+                "the reference engine simulates the full-map directory only, "
+                f"not {config.directory.representation!r}; run it on the "
+                "runahead engine"
+            )
         super().__init__(config, traces, homes)
         # Swap the columnar structures for their frozen transcriptions.
         # The OS services (osint.services) speak the shared public API,

@@ -30,7 +30,7 @@ from repro.coherence.directory import (
     make_directory,
     out_inval_mask,
 )
-from repro.common.errors import ProtocolError
+from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.params import DirectoryParams
 from repro.sim import simulate, simulate_reference
 
@@ -304,14 +304,25 @@ class TestEngineLevel:
     @given(traces=programs(), protocol=st.sampled_from(PROTOCOLS))
     @settings(max_examples=40, deadline=None)
     def test_exact_parameters_match_the_reference_engine(self, traces, protocol):
-        """The reference engine always simulates the full-map oracle,
-        so exact-capacity configs must agree with it too."""
+        """The reference engine simulates the full-map oracle only, so
+        exact-capacity configs must agree with it on the full map."""
         for params in EXACT_PARAMS[:1]:
             config = tiny_config(protocol, directory=params)
             assert_identical_results(
                 simulate(config, [list(t) for t in traces]),
-                simulate_reference(config, [list(t) for t in traces]),
+                simulate_reference(tiny_config(protocol), [list(t) for t in traces]),
             )
+
+    @pytest.mark.parametrize("params", EXACT_PARAMS + INEXACT_PARAMS)
+    def test_reference_engine_rejects_non_fullmap_directories(self, params):
+        """Its frozen directory is a full map: simulating any other
+        representation would store full-map numbers under the other
+        representation's key."""
+        config = tiny_config("ccnuma", directory=params)
+        with pytest.raises(ConfigurationError, match="full-map"):
+            simulate_reference(config, [[], []])
+        with pytest.raises(ConfigurationError, match="full-map"):
+            simulate(config.with_engine("reference"), [[], []])
 
     @given(traces=programs(), protocol=st.sampled_from(PROTOCOLS))
     @settings(max_examples=60, deadline=None)

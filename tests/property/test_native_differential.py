@@ -5,14 +5,15 @@ The compiled core (:mod:`repro.sim.native`, ``sim/_core.c``)
 transcribes the drain loop and the whole miss path.  The run-ahead
 differential, topology, reset and stats suites already run on it
 (their default path) against the frozen reference, on full-map
-directories.  This module adds what they leave out: inexact sharer
-sets, pages missing from the placement map, the widest machine the
-core serves, and which runs the core serves at all.  The whole
-:class:`~repro.sim.results.SimulationResult` must match.
+directories.  This module adds what they leave out: the non-uniform
+fabrics, inexact sharer sets, pages missing from the placement map,
+the widest machine the core serves, and which runs the core serves at
+all.  The whole :class:`~repro.sim.results.SimulationResult` must
+match.
 
-Oracle scope: the reference engine always simulates the full-map
-directory (see :mod:`repro.sim.reference`), so on the limited-pointer
-and coarse-vector representations the core is compared against the
+Oracle scope: the reference engine simulates the full-map directory
+only (see :mod:`repro.sim.reference`), so on the limited-pointer and
+coarse-vector representations the core is compared against the
 run-ahead engine's Python loop, which shares their implementations.
 """
 
@@ -39,6 +40,22 @@ pytestmark = pytest.mark.usefixtures("native_path")
 def _python(config, traces, homes=None):
     with python_loop():
         return simulate(config, traces, homes)
+
+
+@given(
+    traces=programs(),
+    protocol=st.sampled_from(PROTOCOLS),
+    topology=st.sampled_from(("mesh", "fattree")),
+)
+@settings(max_examples=60, deadline=None)
+def test_native_matches_reference_across_topologies(traces, protocol, topology):
+    """The core takes a fixed-delay shortcut on the uniform fabric and
+    calls the network's traversal otherwise; the non-uniform fabrics
+    pin the other side of that branch."""
+    config = tiny_config(protocol, topology=topology)
+    fast = simulate(config, [list(t) for t in traces])
+    slow = simulate_reference(config, [list(t) for t in traces])
+    assert_identical_results(fast, slow)
 
 
 @given(traces=programs(), protocol=st.sampled_from(PROTOCOLS))

@@ -1,6 +1,6 @@
 """Engine-backend selection plumbing: the ``SystemConfig.engine``
-field, the process default, the factory, and the engines' independence
-from NumPy (only the radix trace generator needs it).
+field, the factory, and the engines' independence from NumPy (only the
+radix trace generator needs it).
 """
 
 import sys
@@ -12,7 +12,6 @@ from repro.common.params import (
     SystemConfig,
     config_from_dict,
     config_to_dict,
-    set_default_engine,
 )
 from repro.experiments.runner import config_key
 from repro.sim import factory
@@ -47,24 +46,6 @@ class TestConfigField:
     def test_engine_participates_in_config_key(self):
         base = tiny_config("ccnuma")
         assert config_key(base) != config_key(base.with_engine("reference"))
-
-
-class TestProcessDefault:
-    def test_set_default_engine_steers_the_sentinel(self):
-        previous = set_default_engine("reference")
-        try:
-            assert SystemConfig(protocol="ccnuma").engine == "reference"
-            assert (
-                SystemConfig(protocol="ccnuma", engine="runahead").engine
-                == "runahead"
-            )
-        finally:
-            set_default_engine(previous)
-        assert SystemConfig(protocol="ccnuma").engine == "runahead"
-
-    def test_set_default_engine_rejects_unknown_names(self):
-        with pytest.raises(ConfigurationError):
-            set_default_engine("warp")
 
 
 class TestFactory:
