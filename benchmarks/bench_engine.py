@@ -3,13 +3,12 @@
 Both comparisons run every Table 3 app at :data:`SMOKE_SCALE` on the
 paper's base R-NUMA system (8 nodes x 4 processors):
 
-- :func:`run_engine_comparison`: the run-ahead engine (on its compiled
-  core when one can be built) against the frozen
+- :func:`run_engine_comparison`: the run-ahead engine (its compiled
+  core, which must build) against the frozen
   :class:`~repro.sim.reference.ReferenceEngine` (classic loop + the
   pre-columnar structures of :mod:`repro.sim.legacy`).
   :func:`assert_miss_path_floor` holds the geomean speedup to 90% of
-  the one recorded in ``BENCH_engine.json``; the Python loop alone
-  sits far below that, so a silent fallback fails it.
+  the one recorded in ``BENCH_engine.json``.
 - :func:`run_obs_overhead`: :func:`~repro.sim.engine.simulate` with
   observability off against constructing the engine directly.
   :func:`assert_obs_off_floor` holds the geomean within 2% of parity,

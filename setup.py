@@ -17,10 +17,11 @@ from setuptools import setup
 # generator is pinned to its seeded RNG, and radix is one of the
 # paper's ten applications.  The simulator itself never imports it.
 #
-# A C compiler is optional, not a dependency: the run-ahead engine's
-# compiled core ships as source (repro/sim/_core.c) and is built on
-# first use into the bytecode cache; without a compiler the engine runs
-# its Python loop with identical results (see repro.sim.native).
+# The run-ahead engine's loop ships as C source (repro/sim/_core.c) and
+# is built on first use into the bytecode cache.  Without a C compiler,
+# full-map runs fall back to the reference engine with identical
+# results, and limited/coarse directories are unavailable (see
+# repro.sim.native and repro.sim.factory.make_engine).
 setup(
     python_requires=">=3.10",
     install_requires=["numpy"],

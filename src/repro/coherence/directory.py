@@ -84,7 +84,8 @@ of these columns outside this module, therefore probes them unchanged
 (owner check, sole-copy check); only the mutating requests differ,
 which is why it routes them through the canonical methods for
 non-full-map representations (see ``SimulationEngine._dir_inline``).
-The engine's Python loop calls the methods for every representation.
+The compiled core calls these methods for every inexact
+representation, and for the full map on machines wider than 63 nodes.
 """
 
 from __future__ import annotations

@@ -3,40 +3,38 @@
 This is the only obs module that knows engine internals, and the only
 place instrumentation touches the hot path.  The contract it exploits:
 
-* Every engine's run loop binds ``miss = self._miss`` exactly once at
-  run start, so replacing ``engine._miss`` with a wrapper *before*
-  :meth:`run` intercepts every miss with zero changes to engine code —
-  and installing nothing leaves the engine byte-identical to an
-  uninstrumented build (the zero-cost-off invariant).
-* The hook's calling convention is declared by the ``_MISS_HOOK`` class
-  attribute: ``"columnar"`` for the 5-argument
-  ``(cpu, b, w, st, now) -> lat`` form of the run-ahead engine, and
-  ``"legacy"`` for the reference engine's 7-argument ``(cpu, node, l1, b, w, st, now) -> lat`` form.
+* Every miss is bracketed by :meth:`_Observer.before_miss` and
+  :meth:`_Observer.after_miss`.  The run-ahead engine's compiled core
+  makes those calls itself when :meth:`SimulationEngine.run` is given an
+  observer, writing its mirrored counters back first so they read live;
+  without one it pays a single NULL test per miss (the zero-cost-off
+  invariant).  The reference engine's classic loop binds
+  ``miss = self._miss`` once at run start, so a wrapper installed as
+  ``engine._miss`` before :meth:`run` brackets its misses instead.
 * Every stat mutation a miss performs on behalf of the requester —
   including those made inside the osint page services and the
   protocol policies — lands on the requesting node's ``NodeStats``.
-  Snapshotting the node's live counters around the inner call therefore
-  classifies the transaction without knowing which engine (or which
-  generated specialization) executed it.
+  Snapshotting the node's live counters around the miss therefore
+  classifies the transaction without knowing which engine executed it.
 
-The wrapper is observational only: it forwards arguments and the
-returned latency untouched and mutates no simulator state, so traced
-runs are bit-identical to untraced ones (pinned by
-``tests/property/test_obs_differential.py`` on both engines).
+Observation is read-only: it mutates no simulator state and leaves the
+returned latency untouched, so traced runs are bit-identical to
+untraced ones, and both engines emit the same events (pinned by
+``tests/property/test_obs_differential.py``).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.common.errors import ConfigurationError
 from repro.common.params import ObsParams, config_to_dict
 from repro.obs.metrics import MetricsWriter
 from repro.obs.provenance import provenance_block
 from repro.obs.trace import TraceWriter
+from repro.sim.reference import ReferenceEngine
 
-#: NodeStats counters that are live during ``_miss`` (mutated as the
-#: miss executes).  Deliberately excludes the analytic counters
+#: NodeStats counters that are live during a miss (mutated as the miss
+#: executes).  Deliberately excludes the analytic counters
 #: (``l1_hits``, ``l1_misses``, ``busy_cycles``, ``stall_cycles``,
 #: ``barrier_wait_cycles``), which the engines settle after the run
 #: loop and which therefore only appear in the metrics ``final`` line.
@@ -88,13 +86,15 @@ _PAGE_EVENTS = (
 
 
 class _Observer:
-    """Shared per-run state for the miss wrappers and samplers."""
+    """Per-run state: the miss brackets, the writers and the sampler."""
 
     def __init__(self, engine: Any, obs: ObsParams) -> None:
         self.engine = engine
         self.obs = obs
         config = engine.config
         self.threshold = config.relocation_threshold
+        self.shift = engine._block_page_shift
+        self.before: tuple = ()
         self.trace: Optional[TraceWriter] = None
         self.metrics: Optional[MetricsWriter] = None
         self.next_due = obs.metrics_interval
@@ -123,6 +123,25 @@ class _Observer:
                     "config": config_to_dict(config),
                     "provenance": provenance_block(),
                 },
+            )
+
+    # -- miss brackets --------------------------------------------------
+
+    def _snapshot(self, nid: int) -> tuple:
+        ns = self.engine.machine.nodes[nid].stats
+        return tuple(getattr(ns, f) for f in TRACKED_COUNTERS)
+
+    def before_miss(self, nid: int) -> None:
+        self.before = self._snapshot(nid)
+
+    def after_miss(self, cpu: int, nid: int, b: int, w: int, now: int, lat: int) -> None:
+        after = self._snapshot(nid)
+        if after != self.before:
+            page = b >> self.shift
+            node = self.engine.machine.nodes[nid]
+            self.record(
+                nid, cpu, now, lat, page, b, bool(w), self.before, after,
+                node.refetch_counters.get(page, 0),
             )
 
     # -- event emission -------------------------------------------------
@@ -236,64 +255,34 @@ class _Observer:
             self.metrics.close()
 
 
-def _install(engine: Any, observer: _Observer) -> None:
-    """Replace ``engine._miss`` with the observing wrapper."""
-    hook = getattr(type(engine), "_MISS_HOOK", None)
+def _wrap_reference_miss(engine: ReferenceEngine, observer: _Observer) -> None:
+    """Bracket the reference loop's misses: its ``_miss`` is bound once
+    per run, so the wrapper must be installed before :meth:`run`."""
     inner = engine._miss
-    snapshot = TRACKED_COUNTERS
-    shift = engine._block_page_shift
-    if hook == "columnar":
-        mctx = engine._mctx
 
-        def wrapper(cpu: int, b: int, w: int, st: int, now: int) -> int:
-            ctx = mctx[cpu]
-            node, nid, ns = ctx[0], ctx[1], ctx[2]
-            before = tuple(getattr(ns, f) for f in snapshot)
-            lat = inner(cpu, b, w, st, now)
-            after = tuple(getattr(ns, f) for f in snapshot)
-            if after != before:
-                page = b >> shift
-                observer.record(
-                    nid, cpu, now, lat, page, b, bool(w), before, after,
-                    node.refetch_counters.get(page, 0),
-                )
-            return lat
+    def wrapper(cpu: int, node: Any, l1: Any, b: int, w: bool, st: int, now: int) -> int:
+        observer.before_miss(node.node_id)
+        lat = inner(cpu, node, l1, b, w, st, now)
+        observer.after_miss(cpu, node.node_id, b, w, now, lat)
+        return lat
 
-    elif hook == "legacy":
-
-        def wrapper(cpu: int, node: Any, l1: Any, b: int, w: bool, st: int, now: int) -> int:
-            ns = node.stats
-            before = tuple(getattr(ns, f) for f in snapshot)
-            lat = inner(cpu, node, l1, b, w, st, now)
-            after = tuple(getattr(ns, f) for f in snapshot)
-            if after != before:
-                page = b >> shift
-                observer.record(
-                    node.node_id, cpu, now, lat, page, b, bool(w), before, after,
-                    node.refetch_counters.get(page, 0),
-                )
-            return lat
-
-    else:
-        raise ConfigurationError(
-            f"engine {type(engine).__name__} declares no _MISS_HOOK; "
-            "cannot attach instrumentation"
-        )
     engine._miss = wrapper
 
 
 def observed_run(engine: Any, obs: ObsParams) -> Any:
     """Run ``engine`` with instrumentation attached; return its result.
 
-    The engine must not have been run yet (the hook is captured before
-    the run loop binds it).  Writers are closed even if the run raises,
-    so a crashed run still leaves a loadable (if truncated-at-a-record)
-    metrics stream and a syntactically complete trace.
+    Writers are closed even if the run raises, so a crashed run still
+    leaves a loadable (if truncated-at-a-record) metrics stream and a
+    syntactically complete trace.
     """
     observer = _Observer(engine, obs)
     try:
-        _install(engine, observer)
-        result = engine.run()
+        if isinstance(engine, ReferenceEngine):
+            _wrap_reference_miss(engine, observer)
+            result = engine.run()
+        else:
+            result = engine.run(observer)
         observer.finish(result)
         return result
     finally:

@@ -5,10 +5,10 @@ and produces a :class:`SimulationResult`.
 Two schedulers share one miss-path contract, selected by
 ``SystemConfig.engine`` (see :mod:`repro.sim.factory`): the run-ahead
 engine (:func:`simulate` with the default config, the production path,
-whose loop runs in the compiled core of :mod:`repro.sim.native` when
-one can be built), and the classic one-event-per-reference loop
-(:func:`simulate_reference`, the differential-testing oracle and
-benchmark baseline).
+whose loop is the compiled core of :mod:`repro.sim.native`), and the
+classic one-event-per-reference loop (:func:`simulate_reference`, the
+differential-testing oracle and benchmark baseline, which also stands
+in for full-map run-ahead runs where the core cannot be built).
 """
 
 from repro.sim.engine import SimulationEngine, simulate

@@ -1,11 +1,11 @@
 /*
  * Compiled core of the run-ahead engine (repro.sim.engine).
  *
- * ``run(engine, resolve_home)`` executes SimulationEngine.run's drain
- * loop and the whole L1 miss path (_miss, _remote_fetch, _round_trip,
- * _invalidate_node_block, _downgrade_node, the column-path block-cache
- * install and the L1-victim write-back) directly on the engine's own
- * objects:
+ * ``run(engine, resolve_home, observer=None)`` is SimulationEngine.run:
+ * the run-ahead drain loop and the whole L1 miss path (MOESI snoop,
+ * remote fetch and round trip, invalidation fan-out, owner downgrade,
+ * the column-path block-cache install and the L1-victim write-back),
+ * executed directly on the engine's own objects:
  *
  *   - array('q') / bytearray columns (traces, L1s, block-cache lines,
  *     fine-grain tag rows) through the buffer protocol;
@@ -15,17 +15,19 @@
  *   - NodeStats and BusyResource fields through interned attribute
  *     names.
  *
- * Everything else is the same Python call the Python engine makes: the
+ * Everything else is a call into the canonical Python method: the
  * OS/policy services (on_page_fault, on_refetch, record_refetch,
- * resolve_home, map_local), page-cache/tag/block-cache methods, the
- * canonical Directory requests for inexact representations,
- * Network.one_way_delay and Network._traverse, and
- * SimulationEngine._block_cache_install for dict-backed block caches.
+ * resolve_home, map_local), page-cache/tag/block-cache methods,
+ * Network.one_way_delay and Network._traverse,
+ * SimulationEngine._block_cache_install for dict-backed block caches,
+ * and the Directory requests wherever the int64 column transcription
+ * does not apply (inexact representations, and any machine wider than
+ * 63 nodes, whose sharer masks do not fit an int64).  Their packed
+ * outcomes and masks are decoded as Python ints of any width.
  *
  * The loop returns the raw schedule outcome (finish times, per-node
  * miss and stall sums, scheduler counters, pending barrier arrivals);
- * engine.py settles the deferred counters with the same code for both
- * paths.
+ * engine.py settles the deferred counters.
  *
  * Two kinds of state are kept in C for the duration of one run and
  * written back before it returns (also on error):
@@ -38,8 +40,10 @@
  *     and Network.one_way_delay touch them; the NI is written back
  *     before and reloaded after each one_way_delay call.
  *
- * Eligibility (exact SimulationEngine, no instance _miss hook, at most
- * 63 nodes so a sharer mask fits an int64) is checked in Python.
+ * With an observer (repro.obs), both are also written back before and
+ * after every miss, around the observer's before_miss(nid) and
+ * after_miss(cpu, nid, block, write, now, latency) calls, so it reads
+ * live counters.  Without one, a miss pays a single NULL test.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -59,7 +63,8 @@ enum { BLOCK_INVALID = 0, BLOCK_READONLY = 1, BLOCK_WRITABLE = 2 };
 #define OUT_INVAL_SHIFT 32
 #define NO_OWNER (-1)
 #define EMPTY (-1)
-#define MAX_NODES 63
+/* The int64 directory columns hold sharer masks of at most 63 nodes. */
+#define INLINE_MAX_NODES 63
 
 /* NodeStats counters the miss path accumulates in C. */
 enum {
@@ -100,7 +105,9 @@ static PyObject *s_on_page_fault, *s_on_refetch, *s_record_refetch,
     *s_map_local, *s_touch_hit, *s_touch_miss, *s_set, *s_mark_dirty,
     *s_clear_dirty, *s_probe, *s_invalidate_probe, *s_downgrade,
     *s_writeback, *s_read_request, *s_write_request, *s_home_write_access,
-    *s_one_way_delay, *s_traverse, *s_block_cache_install;
+    *s_one_way_delay, *s_traverse, *s_block_cache_install, *s_before_miss,
+    *s_after_miss;
+static PyObject *s_shift_out, *s_shift_word;
 
 typedef struct {
     int64_t mask;
@@ -115,6 +122,7 @@ typedef struct {
 typedef struct {
     PyObject *node, *stats, *pmap, *page_table, *coh, *tag_rows, *tags,
         *bc, *pc, *bus_obj, *ni_obj, *rad_obj;
+    PyObject *bit; /* 1 << node id, any width */
     int has_cols;
     int reorders_on_hit;
     int64_t bc_mask;
@@ -134,7 +142,7 @@ typedef struct {
 typedef struct {
     PyObject *engine, *machine, *policy, *homes, *directory, *network,
         *resolve_home, *slots, *owners, *sharers, *held, *requesters,
-        *writers, *nodes_list, *columns;
+        *writers, *nodes_list, *columns, *observer;
     int dir_inline, uniform;
     long long net_latency, ni_occ, rad_occ, bus_occ, local_fill,
         remote_fetch, sram, inv_per_sharer, barrier_cost;
@@ -148,6 +156,9 @@ typedef struct {
     Py_buffer *bufs;
     int n_bufs;
     int mirrors_loaded;
+    /* Scratch invalidation mask, one bit per node, lowest word first. */
+    uint64_t *mask;
+    int mask_words;
 } Core;
 
 /* Lazily created int keys for one miss: most misses need only some. */
@@ -254,17 +265,6 @@ dict_get_ll(PyObject *d, PyObject *key, long long dflt, long long *out)
 }
 
 static int
-dict_set_ll(PyObject *d, PyObject *key, long long v)
-{
-    PyObject *o = PyLong_FromLongLong(v);
-    if (o == NULL)
-        return -1;
-    int rc = PyDict_SetItem(d, key, o);
-    Py_DECREF(o);
-    return rc;
-}
-
-static int
 list_ll(PyObject *list, Py_ssize_t i, long long *out)
 {
     return as_ll(PyList_GET_ITEM(list, i), out);
@@ -312,7 +312,7 @@ dir_slot(Core *c, Keys *k, Py_ssize_t *out)
 static PyObject *
 call(PyObject *obj, PyObject *name, PyObject **args, size_t nargs)
 {
-    PyObject *stack[6];
+    PyObject *stack[7];
     stack[0] = obj;
     for (size_t i = 0; i < nargs; i++) {
         if (args[i] == NULL)
@@ -352,7 +352,7 @@ static int
 call_ints(PyObject *obj, PyObject *name, long long *ints, size_t nargs,
           long long *out)
 {
-    PyObject *args[5] = {NULL, NULL, NULL, NULL, NULL};
+    PyObject *args[6] = {NULL, NULL, NULL, NULL, NULL, NULL};
     int rc = -1;
     for (size_t i = 0; i < nargs; i++) {
         args[i] = PyLong_FromLongLong(ints[i]);
@@ -451,14 +451,12 @@ keep_first(int failed, PyObject **et, PyObject **ev, PyObject **tb)
         PyErr_Clear();
 }
 
-/* Write every mirror and deferred counter back to its Python object.
- * Runs on success and on error; keeps the first exception. */
+/* Write every mirror and deferred counter back to its Python object;
+ * the mirrors stay live.  Keeps the first exception. */
 static int
-flush_mirrors(Core *c)
+write_mirrors(Core *c)
 {
     PyObject *et = NULL, *ev = NULL, *tb = NULL;
-    if (!c->mirrors_loaded)
-        return 0;
     PyErr_Fetch(&et, &ev, &tb);
     for (int i = 0; i < c->n_nodes; i++) {
         Node *n = &c->nodes[i];
@@ -473,12 +471,21 @@ flush_mirrors(Core *c)
     keep_first(add_attr_ll(c->network, s_messages, c->messages) < 0, &et, &ev, &tb);
     keep_first(add_attr_ll(c->network, s_round_trips, c->round_trips) < 0, &et, &ev, &tb);
     c->messages = c->round_trips = 0;
-    c->mirrors_loaded = 0;
     if (et != NULL) {
         PyErr_Restore(et, ev, tb);
         return -1;
     }
     return 0;
+}
+
+/* The end of a run, on success and on error. */
+static int
+flush_mirrors(Core *c)
+{
+    if (!c->mirrors_loaded)
+        return 0;
+    c->mirrors_loaded = 0;
+    return write_mirrors(c);
 }
 
 /* ------------------------------------------------------------------ */
@@ -517,7 +524,8 @@ share_l1_copies(Core *c, Node *n, int64_t b)
     }
 }
 
-/* SimulationEngine._round_trip */
+/* Network.round_trip_delay, on the mirrored NI/RAD state (a fixed
+ * fabric delay on the uniform network, Network._traverse otherwise). */
 static int
 round_trip(Core *c, int src, int dst, long long now, long long extra,
            long long *out)
@@ -587,7 +595,8 @@ write_back(Core *c, int nid, int64_t vb, long long now)
     return 0;
 }
 
-/* SimulationEngine._invalidate_node_block */
+/* Remove every copy of b on node ``victim`` (coherence): its L1s, its
+ * block cache and its fine-grain tags. */
 static int
 invalidate_node_block(Core *c, int victim, Keys *k)
 {
@@ -633,7 +642,7 @@ invalidate_node_block(Core *c, int victim, Keys *k)
     return 0;
 }
 
-/* SimulationEngine._downgrade_node */
+/* The previous exclusive owner keeps a shared, clean copy. */
 static int
 downgrade_node(Core *c, int owner, Keys *k)
 {
@@ -671,38 +680,119 @@ downgrade_node(Core *c, int owner, Keys *k)
     return 0;
 }
 
-/* Fan an invalidation mask out, lowest node first. */
-static int
-invalidate_mask(Core *c, long long mask, Keys *k)
+/* ------------------------------------------------------------------ */
+/* invalidation masks of any width                                    */
+/* ------------------------------------------------------------------ */
+
+static void
+mask_set(Core *c, uint64_t low)
 {
-    unsigned long long m = (unsigned long long)mask;
-    while (m) {
-        int victim = __builtin_ctzll(m);
-        if (invalidate_node_block(c, victim, k) < 0)
-            return -1;
-        m &= m - 1;
+    c->mask[0] = low;
+    for (int i = 1; i < c->mask_words; i++)
+        c->mask[i] = 0;
+}
+
+/* Split a packed directory outcome (a Python int of any width) into
+ * its low word (refetch bit and owner field) and, in c->mask, its
+ * invalidation mask. */
+static int
+split_outcome(Core *c, PyObject *o, long long *low)
+{
+    *low = (long long)(PyLong_AsUnsignedLongLongMask(o) & 0xFFFFFFFFULL);
+    PyObject *m = PyErr_Occurred() ? NULL : PyNumber_Rshift(o, s_shift_out);
+    for (int i = 0; m != NULL && i < c->mask_words; i++) {
+        c->mask[i] = PyLong_AsUnsignedLongLongMask(m);
+        PyObject *rest = PyErr_Occurred() ? NULL : PyNumber_Rshift(m, s_shift_word);
+        Py_DECREF(m);
+        m = rest;
+    }
+    if (m == NULL)
+        return -1;
+    int beyond = PyObject_IsTrue(m);
+    Py_DECREF(m);
+    if (beyond > 0)
+        PyErr_SetString(PyExc_IndexError, "sharer mask beyond the machine");
+    return beyond ? -1 : 0;
+}
+
+/* obj.name(*args) -> packed outcome, split as above. */
+static int
+call_outcome(Core *c, PyObject *obj, PyObject *name, PyObject **args,
+             size_t nargs, long long *low)
+{
+    PyObject *r = call(obj, name, args, nargs);
+    if (r == NULL)
+        return -1;
+    int rc = split_outcome(c, r, low);
+    Py_DECREF(r);
+    return rc;
+}
+
+static long long
+mask_count(Core *c)
+{
+    long long n = 0;
+    for (int i = 0; i < c->mask_words; i++)
+        n += __builtin_popcountll(c->mask[i]);
+    return n;
+}
+
+/* The lowest node in c->mask, or -1 when it is empty. */
+static long long
+mask_lowest(Core *c)
+{
+    for (int i = 0; i < c->mask_words; i++)
+        if (c->mask[i])
+            return 64LL * i + __builtin_ctzll(c->mask[i]);
+    return -1;
+}
+
+/* Fan c->mask out, lowest node first. */
+static int
+invalidate_mask(Core *c, Keys *k)
+{
+    for (int i = 0; i < c->mask_words; i++) {
+        uint64_t m = c->mask[i];
+        while (m) {
+            long long victim = 64LL * i + __builtin_ctzll(m);
+            if (victim >= c->n_nodes) {
+                PyErr_SetString(PyExc_IndexError, "invalidated node out of range");
+                return -1;
+            }
+            if (invalidate_node_block(c, (int)victim, k) < 0)
+                return -1;
+            m &= m - 1;
+        }
     }
     return 0;
 }
 
+/* d[key] = d.get(key, 0) | bit */
 static int
-or_mask(PyObject *d, PyObject *key, long long bit)
+or_mask(PyObject *d, PyObject *key, PyObject *bit)
 {
-    long long cur;
-    if (dict_get_ll(d, key, 0, &cur) < 0)
+    if (key == NULL)
         return -1;
-    return dict_set_ll(d, key, cur | bit);
+    PyObject *cur = PyDict_GetItemWithError(d, key);
+    if (cur == NULL)
+        return PyErr_Occurred() ? -1 : PyDict_SetItem(d, key, bit);
+    PyObject *v = PyNumber_Or(cur, bit);
+    if (v == NULL)
+        return -1;
+    int rc = PyDict_SetItem(d, key, v);
+    Py_DECREF(v);
+    return rc;
 }
 
-/* SimulationEngine._remote_fetch */
+/* Fetch b from its home: the directory request, the invalidation or
+ * downgrade it triggers, the round trip, and the refetch policy. */
 static int
 remote_fetch(Core *c, int nid, Keys *k, int write, long long now,
              int upgrade, long long *out)
 {
     Node *n = &c->nodes[nid];
     int64_t b = k->b;
-    long long nbit = 1LL << nid;
-    long long home, refetch, extra = 0, v;
+    long long home, refetch, extra = 0, v, low;
     PyObject *gk = gkey(k);
     if (gk == NULL)
         return -1;
@@ -723,20 +813,17 @@ remote_fetch(Core *c, int nid, Keys *k, int write, long long now,
         return -1;
 
     if (write) {
-        long long inval;
         if (ds < 0) {
             PyObject *args[3] = {bkey(k), PyLong_FromLong(nid),
                                  upgrade ? Py_True : Py_False};
-            long long o;
-            int rc = call_ll(c->directory, s_write_request, args, 3, &o);
+            int rc = call_outcome(c, c->directory, s_write_request, args, 3, &low);
             Py_XDECREF(args[1]);
             if (rc < 0)
                 return -1;
-            refetch = o & 1;
-            inval = o >> OUT_INVAL_SHIFT;
+            refetch = low & 1;
         }
         else {
-            long long owner;
+            long long owner, nbit = 1LL << nid;
             if (list_ll(c->owners, ds, &owner) < 0)
                 return -1;
             refetch = 0;
@@ -747,16 +834,16 @@ remote_fetch(Core *c, int nid, Keys *k, int write, long long now,
             }
             if (list_ll(c->sharers, ds, &v) < 0)
                 return -1;
-            inval = v & ~nbit;
+            mask_set(c, (uint64_t)(v & ~nbit));
             if (list_set_ll(c->sharers, ds, nbit) < 0
                 || list_set_ll(c->held, ds, nbit) < 0
                 || list_set_ll(c->owners, ds, nid) < 0)
                 return -1;
         }
-        long long n_inval = __builtin_popcountll((unsigned long long)inval);
+        long long n_inval = mask_count(c);
         n->st[S_INVALIDATIONS_SENT] += n_inval;
         extra = c->inv_per_sharer * n_inval;
-        if (invalidate_mask(c, inval, k) < 0)
+        if (invalidate_mask(c, k) < 0)
             return -1;
         /* The home's own L1s lose their copies too (its block cache and
          * tags hold remote data only). */
@@ -765,21 +852,20 @@ remote_fetch(Core *c, int nid, Keys *k, int write, long long now,
             return -1;
     }
     else {
-        long long prev_owner = -1, evict = 0;
+        long long prev_owner = -1, n_evict = 0;
         if (ds < 0) {
             PyObject *args[2] = {bkey(k), PyLong_FromLong(nid)};
-            long long o;
-            int rc = call_ll(c->directory, s_read_request, args, 2, &o);
+            int rc = call_outcome(c, c->directory, s_read_request, args, 2, &low);
             Py_XDECREF(args[1]);
             if (rc < 0)
                 return -1;
-            refetch = o & 1;
-            prev_owner = ((o >> OUT_OWNER_SHIFT) & OUT_OWNER_MASK) - 1;
+            refetch = low & 1;
+            prev_owner = ((low >> OUT_OWNER_SHIFT) & OUT_OWNER_MASK) - 1;
             /* Limited-pointer eviction overflow sheds a sharer on a read. */
-            evict = o >> OUT_INVAL_SHIFT;
+            n_evict = mask_count(c);
         }
         else {
-            long long owner;
+            long long owner, nbit = 1LL << nid;
             if (list_ll(c->owners, ds, &owner) < 0
                 || list_ll(c->held, ds, &v) < 0)
                 return -1;
@@ -799,11 +885,10 @@ remote_fetch(Core *c, int nid, Keys *k, int write, long long now,
                 || list_set_ll(c->held, ds, v | nbit) < 0)
                 return -1;
         }
-        if (evict) {
-            long long n_evict = __builtin_popcountll((unsigned long long)evict);
+        if (n_evict) {
             n->st[S_INVALIDATIONS_SENT] += n_evict;
             extra = c->inv_per_sharer * n_evict;
-            if (invalidate_mask(c, evict, k) < 0)
+            if (invalidate_mask(c, k) < 0)
                 return -1;
         }
         if (prev_owner >= 0) {
@@ -823,9 +908,9 @@ remote_fetch(Core *c, int nid, Keys *k, int write, long long now,
     long long lat = c->remote_fetch + rt;
     n->st[S_REMOTE_FETCHES]++;
 
-    if (or_mask(c->requesters, gk, nbit) < 0)
+    if (or_mask(c->requesters, gk, n->bit) < 0)
         return -1;
-    if (write && or_mask(c->writers, gk, nbit) < 0)
+    if (write && or_mask(c->writers, gk, n->bit) < 0)
         return -1;
 
     if (refetch) {
@@ -867,7 +952,7 @@ is_scoma(Node *n, Keys *k, int *out)
     return 0;
 }
 
-/* SimulationEngine._scoma_install: tags.set + page_cache.touch_miss */
+/* Record a fetched block in the page-cache tags and LRM order. */
 static int
 scoma_install(Core *c, Node *n, Keys *k, int writable)
 {
@@ -957,9 +1042,10 @@ peer_supplies(Core *c, Node *n, int slot, int64_t b)
 }
 
 /* ------------------------------------------------------------------ */
-/* SimulationEngine._miss                                             */
+/* the L1 miss path                                                   */
 /* ------------------------------------------------------------------ */
 
+/* Service an L1 miss (or write upgrade); *out is the added latency. */
 static int
 miss_body(Core *c, int nid, int slot, Keys *k, int w, int st, long long now,
           long long *out)
@@ -1090,14 +1176,11 @@ miss_body(Core *c, int nid, int slot, Keys *k, int w, int st, long long now,
             /* Sole copy: no peer L1 holds it, the directory lists no
              * sharers. */
             if (!peers_hold(c, n, slot, b)) {
-                if (ds < 0)
+                int listed = ds < 0 ? 0 : PyObject_IsTrue(PyList_GET_ITEM(c->sharers, ds));
+                if (listed < 0)
+                    return -1;
+                if (!listed)
                     state = EXCLUSIVE;
-                else {
-                    if (list_ll(c->sharers, ds, &v) < 0)
-                        return -1;
-                    if (!v)
-                        state = EXCLUSIVE;
-                }
             }
         }
         else if (mapping == MAP_CC) {
@@ -1182,8 +1265,9 @@ miss_body(Core *c, int nid, int slot, Keys *k, int w, int st, long long now,
         if (mapping == MAP_LOCAL) {
             /* Directory.home_write_access: every remote copy is
              * invalidated and cleared from was-held. */
-            long long prev_owner = -1, inval = 0;
+            long long prev_owner = -1, n_inval;
             Py_ssize_t ds = -1;
+            mask_set(c, 0);
             if (c->dir_inline) {
                 if (dir_slot(c, k, &ds) < 0)
                     return -1;
@@ -1195,13 +1279,13 @@ miss_body(Core *c, int nid, int slot, Keys *k, int w, int st, long long now,
                 if (r) {
                     PyObject *nidk = PyLong_FromLong(nid);
                     PyObject *args[2] = {k->bk, nidk};
-                    long long o;
-                    int rc = call_ll(c->directory, s_home_write_access, args, 2, &o);
+                    long long low;
+                    int rc = call_outcome(c, c->directory, s_home_write_access,
+                                          args, 2, &low);
                     Py_XDECREF(nidk);
                     if (rc < 0)
                         return -1;
-                    prev_owner = ((o >> OUT_OWNER_SHIFT) & OUT_OWNER_MASK) - 1;
-                    inval = o >> OUT_INVAL_SHIFT;
+                    prev_owner = ((low >> OUT_OWNER_SHIFT) & OUT_OWNER_MASK) - 1;
                 }
             }
             if (ds >= 0) {
@@ -1211,15 +1295,14 @@ miss_body(Core *c, int nid, int slot, Keys *k, int w, int st, long long now,
                     prev_owner = -1;
                 if (list_ll(c->sharers, ds, &v) < 0)
                     return -1;
-                inval = v & ~(1LL << nid);
+                mask_set(c, (uint64_t)(v & ~(1LL << nid)));
                 if (list_set_ll(c->owners, ds, NO_OWNER) < 0
                     || list_set_ll(c->sharers, ds, 0) < 0
                     || list_set_ll(c->held, ds, 0) < 0)
                     return -1;
             }
-            if (inval)
-                n->st[S_INVALIDATIONS_SENT] +=
-                    __builtin_popcountll((unsigned long long)inval);
+            n_inval = mask_count(c);
+            n->st[S_INVALIDATIONS_SENT] += n_inval;
             int r = set_contains(n->coh, bkey(k));
             if (r < 0)
                 return -1;
@@ -1228,17 +1311,15 @@ miss_body(Core *c, int nid, int slot, Keys *k, int w, int st, long long now,
                 if (PySet_Discard(n->coh, k->bk) < 0)
                     return -1;
             }
-            if (inval || prev_owner >= 0) {
+            if (n_inval || prev_owner >= 0) {
                 /* Write-sharing traffic (Table 4's classification). */
                 long long rt, target;
-                if (or_mask(c->writers, gkey(k), 1LL << nid) < 0)
+                if (or_mask(c->writers, gkey(k), n->bit) < 0)
                     return -1;
-                if (invalidate_mask(c, inval, k) < 0)
+                if (invalidate_mask(c, k) < 0)
                     return -1;
                 lat += c->remote_fetch;
-                target = prev_owner >= 0
-                             ? prev_owner
-                             : __builtin_ctzll((unsigned long long)inval);
+                target = prev_owner >= 0 ? prev_owner : mask_lowest(c);
                 if (target >= c->n_nodes) {
                     PyErr_SetString(PyExc_IndexError, "target node out of range");
                     return -1;
@@ -1453,6 +1534,22 @@ miss(Core *c, int nid, int slot, int64_t b, int w, int st, long long now,
     return rc;
 }
 
+/* miss() between the observer's before_miss and after_miss calls, with
+ * every mirror written back so the observer reads live counters. */
+static int
+observed_miss(Core *c, int cpu, int nid, int slot, int64_t b, int w, int st,
+              long long now, long long *out)
+{
+    long long before[1] = {nid};
+    if (write_mirrors(c) < 0
+        || call_ints(c->observer, s_before_miss, before, 1, NULL) < 0
+        || miss(c, nid, slot, b, w, st, now, out) < 0
+        || write_mirrors(c) < 0)
+        return -1;
+    long long after[6] = {cpu, nid, b, w, now, *out};
+    return call_ints(c->observer, s_after_miss, after, 6, NULL);
+}
+
 /* ------------------------------------------------------------------ */
 /* run-time set-up                                                    */
 /* ------------------------------------------------------------------ */
@@ -1489,6 +1586,13 @@ load_node(Core *c, Node *n, PyObject *node, int nid)
     PyObject *tmp;
     n->node = node;
     Py_INCREF(node);
+    PyObject *one = PyLong_FromLong(1), *shift = PyLong_FromLong(nid);
+    if (one != NULL && shift != NULL)
+        n->bit = PyNumber_Lshift(one, shift);
+    Py_XDECREF(one);
+    Py_XDECREF(shift);
+    if (n->bit == NULL)
+        return -1;
     if ((n->stats = attr(node, "stats")) == NULL
         || (n->pmap = attr(node, "page_state")) == NULL
         || (n->page_table = attr(node, "page_table")) == NULL
@@ -1604,6 +1708,7 @@ free_core(Core *c)
             Py_XDECREF(n->bus_obj);
             Py_XDECREF(n->ni_obj);
             Py_XDECREF(n->rad_obj);
+            Py_XDECREF(n->bit);
         }
     }
     for (int i = 0; i < c->n_bufs; i++)
@@ -1612,6 +1717,7 @@ free_core(Core *c)
     PyMem_Free(c->nodes);
     PyMem_Free(c->l1_pool);
     PyMem_Free(c->cpus);
+    PyMem_Free(c->mask);
     Py_XDECREF(c->machine);
     Py_XDECREF(c->policy);
     Py_XDECREF(c->homes);
@@ -1664,7 +1770,7 @@ load_core(Core *c, PyObject *engine)
     }
     if (engine_ll(engine, "_dir_inline", &v) < 0)
         goto done;
-    c->dir_inline = v != 0;
+    c->dir_inline = v != 0 && PyList_GET_SIZE(c->nodes_list) <= INLINE_MAX_NODES;
     if (engine_ll(engine, "_uniform_net", &v) < 0)
         goto done;
     c->uniform = v != 0;
@@ -1692,8 +1798,8 @@ load_core(Core *c, PyObject *engine)
 
     c->n_nodes = (int)PyList_GET_SIZE(c->nodes_list);
     c->n_cpus = (int)PyList_GET_SIZE(c->columns);
-    if (c->n_nodes < 1 || c->n_nodes > MAX_NODES) {
-        PyErr_SetString(PyExc_ValueError, "native core supports 1..63 nodes");
+    if (c->n_nodes < 1) {
+        PyErr_SetString(PyExc_ValueError, "machine without nodes");
         goto done;
     }
     {
@@ -1713,8 +1819,10 @@ load_core(Core *c, PyObject *engine)
     c->bufs = PyMem_Calloc(
         (size_t)c->n_cpus + (size_t)c->n_nodes * (2 * c->n_slots + 3) + 1,
         sizeof(Py_buffer));
+    c->mask_words = (c->n_nodes + 63) / 64;
+    c->mask = PyMem_Calloc(c->mask_words, sizeof(uint64_t));
     if (c->nodes == NULL || c->l1_pool == NULL || c->cpus == NULL
-        || c->bufs == NULL) {
+        || c->bufs == NULL || c->mask == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -1873,7 +1981,11 @@ list_of(long long *v, int n)
         else {                                                             \
             long long now_ = (t_in) + think_, lat_;                        \
             st_ = blocks[idx_] == b_ ? states[idx_] : INVALID;             \
-            if (miss(c, nid, slot, b_, w_, st_, now_, &lat_) < 0)          \
+            if ((c->observer == NULL                                       \
+                     ? miss(c, nid, slot, b_, w_, st_, now_, &lat_)        \
+                     : observed_miss(c, cpu, nid, slot, b_, w_, st_, now_, \
+                                     &lat_))                               \
+                < 0)                                                       \
                 goto error;                                                \
             misses[nid]++;                                                 \
             stall[nid] += lat_;                                            \
@@ -1884,16 +1996,17 @@ list_of(long long *v, int n)
 static PyObject *
 core_run(PyObject *self, PyObject *args)
 {
-    PyObject *engine, *resolve_home;
+    PyObject *engine, *resolve_home, *observer = Py_None;
     Core core, *c = &core;
     PyObject *result = NULL, *arrivals_by_id = NULL;
     long long *finish = NULL, *misses = NULL, *stall = NULL;
     int64_t *heap = NULL;
 
-    if (!PyArg_ParseTuple(args, "OO:run", &engine, &resolve_home))
+    if (!PyArg_ParseTuple(args, "OO|O:run", &engine, &resolve_home, &observer))
         return NULL;
     memset(c, 0, sizeof(core));
     c->resolve_home = resolve_home;
+    c->observer = observer == Py_None ? NULL : observer;
     if (load_core(c, engine) < 0)
         goto error;
 
@@ -2067,8 +2180,8 @@ done:
 
 static PyMethodDef core_methods[] = {
     {"run", core_run, METH_VARARGS,
-     "run(engine, resolve_home) -> (finish, misses, stall, yields, "
-     "rare_pops, barrier_pushes, barrier_arrivals)"},
+     "run(engine, resolve_home, observer=None) -> (finish, misses, stall, "
+     "yields, rare_pops, barrier_pushes, barrier_arrivals)"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2115,19 +2228,23 @@ PyInit__core(void)
     INTERN(s_one_way_delay, "one_way_delay");
     INTERN(s_traverse, "_traverse");
     INTERN(s_block_cache_install, "_block_cache_install");
+    INTERN(s_before_miss, "before_miss");
+    INTERN(s_after_miss, "after_miss");
+    if ((s_shift_out = PyLong_FromLong(OUT_INVAL_SHIFT)) == NULL
+        || (s_shift_word = PyLong_FromLong(64)) == NULL)
+        return NULL;
 
     PyObject *m = PyModule_Create(&core_module);
     if (m == NULL)
         return NULL;
     PyObject *consts = Py_BuildValue(
-        "{s:(iiiii),s:(iiii),s:(iii),s:i,s:L,s:i,s:i,s:i}",
+        "{s:(iiiii),s:(iiii),s:(iii),s:i,s:L,s:i,s:i}",
         "moesi", INVALID, SHARED, EXCLUSIVE, OWNED, MODIFIED,
         "mapping", MAP_UNMAPPED, MAP_LOCAL, MAP_CC, MAP_SCOMA,
         "tags", BLOCK_INVALID, BLOCK_READONLY, BLOCK_WRITABLE,
         "addr_shift", ADDR_SHIFT,
         "think_mask", (long long)THINK_MASK,
         "out_inval_shift", OUT_INVAL_SHIFT,
-        "max_nodes", MAX_NODES,
         "empty", EMPTY);
     if (consts == NULL || PyModule_AddObject(m, "CONSTANTS", consts) < 0) {
         Py_XDECREF(consts);

@@ -4,8 +4,7 @@ Drives one trace per processor through the machine model:
 
 - per-processor clocks advanced through a min-heap scheduler with a
   *run-ahead* inner loop (see below);
-- an inlined L1 fast path (hits are the overwhelming majority of
-  references and must stay cheap in pure Python);
+- an L1 fast path (hits are the overwhelming majority of references);
 - a full miss path implementing the intra-node MOESI snoop, the three
   remote-caching strategies (block cache / page cache / local memory),
   the inter-node directory protocol with refetch detection, and the OS
@@ -15,58 +14,42 @@ Drives one trace per processor through the machine model:
   links along each message's precomputed route;
 - global barriers.
 
+The loop and the miss path run in the compiled core
+(:mod:`repro.sim.native`, ``sim/_core.c``) on this engine's own
+objects; this class builds and wires the machine, and settles the
+counters the loop defers.  The core calls back into the canonical
+Python methods for everything it does not transcribe: the OS and
+policy services, page-cache and tag methods, the directory requests of
+inexact or wider-than-63-node directories, the network's routed
+traversal, and :meth:`SimulationEngine._block_cache_install` for
+dict-backed block caches.  Without a C compiler there is no run-ahead
+loop; :func:`repro.sim.factory.make_engine` then builds the
+bit-identical :class:`~repro.sim.reference.ReferenceEngine` instead.
+
 Run-ahead scheduling
 --------------------
 
-The classic loop pays one ``heappop`` + ``heappush`` and several
-attribute loads per memory reference.  This engine instead *drains* a
-processor after popping it: it keeps executing that CPU's references in
-a tight local-variable loop for as long as the CPU's next event,
+The classic loop pays one heap pop and push per memory reference.  The
+run-ahead loop instead *drains* a processor after popping it: it keeps
+executing that CPU's references for as long as the CPU's next event,
 ordered as the tuple ``(time, cpu)``, would sort before the current
 heap head — i.e. for as long as the classic loop would have popped this
 CPU right back.  No other processor may act before the heap head, so
 the drained schedule is *exactly* the heap schedule (ties included:
-tuple order breaks them by CPU id in both).  L1 hit and busy counters
-accumulate in locals during a drain and flush to :class:`NodeStats`
-once per run, so the dominant path touches no heap and no attribute.
-The drain crosses misses too — a miss just advances the CPU's clock
-further — and stops only at a barrier, at end-of-trace, or when
-another CPU's event comes first.  See docs/architecture.md
+tuple order breaks them by CPU id in both).  The drain crosses misses
+too — a miss just advances the CPU's clock further — and stops only at
+a barrier, at end-of-trace, or when another CPU's event comes first.
+L1 hit and busy counters are settled analytically after the run
+(:meth:`SimulationEngine._settle`).  See docs/architecture.md
 ("Scheduler") for the invariant written out.
 
-Columnar miss path
-------------------
-
-The miss path allocates no objects.  It calls the canonical
-:class:`~repro.coherence.directory.Directory`,
-:class:`~repro.caches.block_cache.BlockCache`, bus
-:class:`~repro.interconnect.resource.BusyResource` and
-:class:`~repro.interconnect.network.Network` methods for every request;
-the compiled core (:mod:`repro.sim.native`) is the one place they are
-transcribed for speed.  The directory returns a packed outcome int
-(refetch bit, previous owner, invalidation bitmask — see
-:mod:`repro.coherence.directory`) decoded with shifts; sharers iterate
-via ``mask & -mask`` bit tricks.  The block cache answers packed-int
-probes, page-cache recency moves are array-index relinks, and L1
-victims are read straight out of the L1 arrays instead of materializing
-(block, state) tuples.  Hot cross-object references (costs, directory,
-network) are bound once at construction.  See docs/architecture.md
-("Memory-system state layout").
-
 Traces are consumed in their packed columnar form (one ``array('q')``
-of 64-bit words per CPU, see :mod:`repro.common.records`): the hot
-loop classifies an item by its sign bit and unpacks the address/think/
-write fields with shifts, so a compiled program runs with no per-run
-conversion pass.  Legacy Access/Barrier object sequences are packed
-(and barrier-validated) once at engine construction; barrier
-validation of raw columns is memoized across runs
-(:func:`repro.common.records.ensure_barriers_validated`), so replaying
-one program across the four protocols of a sweep validates once.
-
-L1 state lives in preallocated arrays (:mod:`repro.caches.l1`), so the
-inlined hit check is two C-speed array loads.  The buffers keep their
-identity for the life of a cache, which lets the drain loop hoist them
-into locals.
+of 64-bit words per CPU, see :mod:`repro.common.records`).  Legacy
+Access/Barrier object sequences are packed (and barrier-validated) once
+at engine construction; barrier validation of raw columns is memoized
+across runs (:func:`repro.common.records.ensure_barriers_validated`),
+so replaying one program across the four protocols of a sweep
+validates once.
 
 Timing constants come from :class:`repro.common.params.CostParams`
 (the paper's Table 2).
@@ -79,30 +62,14 @@ oracle.
 
 from __future__ import annotations
 
-import heapq
-from math import inf
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.caches.finegrain import BLOCK_INVALID, BLOCK_READONLY, BLOCK_WRITABLE
 from repro.caches.l1 import EMPTY as L1_EMPTY
-from repro.coherence.directory import (
-    Directory,
-    OUT_INVAL_SHIFT,
-    OUT_OWNER_MASK,
-    OUT_OWNER_SHIFT,
-)
-from repro.coherence.states import (
-    EXCLUSIVE,
-    INVALID,
-    MODIFIED,
-    OWNED,
-    SHARED,
-)
-from repro.common.errors import TraceError
+from repro.coherence.directory import Directory
+from repro.coherence.states import INVALID
+from repro.common.errors import ConfigurationError, TraceError
 from repro.common.params import SystemConfig
 from repro.common.records import (
-    ADDR_SHIFT,
-    THINK_MASK,
     as_columns,
     column_profile,
     ensure_barriers_validated,
@@ -113,16 +80,7 @@ from repro.osint.placement import first_touch_homes, resolve_home
 from repro.protocols import make_policy
 from repro.sim import native
 from repro.sim.results import SimulationResult
-from repro.vm.page_table import MAP_CC, MAP_LOCAL, MAP_SCOMA, MAP_UNMAPPED
 
-# The drain loop encodes MOESI facts as arithmetic: INVALID must be
-# falsy, and "write hit without a bus transaction" must be expressible
-# as ``st >= MODIFIED or st == EXCLUSIVE``.  Pin the values those
-# shortcuts depend on so a states.py edit cannot silently corrupt the
-# fast path.
-assert (INVALID, SHARED, EXCLUSIVE, OWNED, MODIFIED) == (0, 1, 2, 3, 4), (
-    "engine fast path assumes the canonical MOESI encoding"
-)
 
 class SimulationEngine:
     """One simulation run: a machine, a policy, and a set of traces.
@@ -137,12 +95,6 @@ class SimulationEngine:
     check them against the trace and the engine benchmark reads its
     reference count from them.
     """
-
-    #: Calling convention of ``_miss``, for :mod:`repro.obs.attach`:
-    #: ``"columnar"`` is the 5-argument ``(cpu, b, w, st, now) -> lat``
-    #: form.  Installing the hook as an instance attribute also keeps
-    #: the run on the Python loop (the compiled core never calls it).
-    _MISS_HOOK = "columnar"
 
     def __init__(
         self,
@@ -192,50 +144,23 @@ class SimulationEngine:
             self._l1_of_cpu.append(node.l1s[slot])
             self._cpu_slot.append(slot)
 
-        # Per-CPU miss context: everything _miss needs that is fixed
-        # for the run, gathered behind one list index.  All members
-        # keep their identity across Machine.reset().
-        self._mctx = []
-        for c in range(mp.total_cpus):
-            node = self.machine.nodes[self._node_of_cpu[c]]
-            slot = self._cpu_slot[c]
-            l1 = node.l1s[slot]
-            self._mctx.append(
-                (
-                    node,
-                    node.node_id,
-                    node.stats,
-                    node.page_state,
-                    node.peer_arrays[slot],
-                    node.bus,
-                    l1.mask,
-                    l1.block_at,
-                    l1.state_at,
-                )
-            )
-
         self._block_shift = space.block_shift
-        self._page_shift = space.page_shift
         self._block_page_shift = space.page_shift - space.block_shift
         self._bpp_mask = space.blocks_per_page - 1
 
-        # Hot cross-object references, bound once: every miss reads
-        # these, and the directory/network/stats objects keep their
-        # identity for the life of the machine (reset() works in
-        # place), so per-miss attribute chains are pure overhead.
+        # Read by the compiled core (repro.sim.native), which transcribes
+        # the full-map directory requests and the uniform-fabric round
+        # trip onto these columns and constants.  Inexact directory
+        # representations (limited-pointer / coarse-vector) carry extra
+        # per-slot state, so the core routes their mutating requests
+        # through the canonical methods (``_dir_inline`` false), as it
+        # does on machines whose sharer masks outgrow an int64.  All
+        # keep their identity for the life of the machine (reset()
+        # works in place).
         self._costs = config.costs
         self._directory = self.machine.directory
         self._network = self.machine.network
         self._nodes = self.machine.nodes
-        # Read only by the compiled core (repro.sim.native), which
-        # transcribes the full-map directory requests and the uniform-
-        # fabric round trip onto these columns and constants; the
-        # Python loop calls the canonical Directory and Network methods.
-        # Inexact directory representations (limited-pointer / coarse-
-        # vector) carry extra per-slot state, so the core routes their
-        # mutating requests through the canonical methods too
-        # (``_dir_inline`` false).  All keep their identity for the life
-        # of the machine (reset() works in place).
         self._dir_slots = self.machine.directory.slots
         self._dir_owners = self.machine.directory.owners
         self._dir_sharers = self.machine.directory.sharer_masks
@@ -278,173 +203,21 @@ class SimulationEngine:
             self.machine.nodes[home].page_table.map_local(page)
         self.sched_stats = {}
 
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
+    def run(self, observer=None) -> SimulationResult:
+        """Run every trace to completion in the compiled core.
 
-    def run(self) -> SimulationResult:
-        # The compiled core (repro.sim.native) runs this loop and the
-        # whole miss path in C when it can serve the run: the engine is
-        # exactly this class, no instance hook replaced ``_miss`` (the
-        # obs layer installs one), and sharer masks fit an int64.  It is
-        # the same engine either way: results are bit-identical.
-        if (
-            type(self) is SimulationEngine
-            and "_miss" not in self.__dict__
-            and len(self._nodes) <= native.MAX_NODES
-        ):
-            core = native.core()
-            if core is not None:
-                return self._settle(*core.run(self, resolve_home))
-        return self._settle(*self._drain())
-
-    def _drain(self):
-        """The drain loop.  Returns the raw schedule outcome: finish
-        times, per-node miss and stall sums, the scheduler counters,
-        and any barrier arrivals still pending."""
-        costs = self.config.costs
-        barrier_cost = costs.barrier_cost
-        # One shift turns a packed word into its block number.
-        block_unpack = ADDR_SHIFT + self._block_shift
-        think_mask = THINK_MASK
-        traces = self._columns
-        n_cpus = len(traces)
-        l1s = self._l1_of_cpu
-        node_of = self._node_of_cpu
-        nodes = [self.machine.nodes[node_of[c]] for c in range(n_cpus)]
-        n_nodes = len(self.machine.nodes)
-
-        # Per-CPU hot context, rebound in one list index per switch: the
-        # trace cursor (a persistent iterator over the packed column —
-        # it remembers its position across yields, which removes all
-        # index bookkeeping from the loop) and the CPU's L1 arrays.
-        # The arrays keep their identity for the whole run, so hoisting
-        # them here is safe.  Cold per-CPU state (the L1 object, node,
-        # node id) is looked up only on the rare paths.
-        cursors = [iter(column) for column in traces]
-        ctxs = [
-            (cursors[c], l1s[c].block_at, l1s[c].state_at, l1s[c].mask)
-            for c in range(n_cpus)
-        ]
-
-        # Only misses touch per-node accumulators inside the loop; the
-        # hit and busy counters are settled analytically after it (a
-        # completed run executes every access exactly once), so the
-        # dominant path carries no stats work at all.  Nothing reads
-        # the four deferred counters mid-run.
-        misses_acc = [0] * n_nodes
-        stall_acc = [0] * n_nodes
-
-        finish = [0] * n_cpus
-        # The earliest event is held in hand; the heap holds the rest.
-        # Yielding to the heap is then a single heappushpop instead of
-        # a heappush plus a later heappop.  Events are packed as the
-        # single int ``time * n_cpus + cpu`` — order-isomorphic to the
-        # (time, cpu) tuple for 0 <= cpu < n_cpus, so the heap order is
-        # the classic order, but a compare is one int compare and a
-        # yield allocates nothing.
-        heap = list(range(1, n_cpus))  # (t=0, cpu=c) encodes as c
-        heapq.heapify(heap)
-        t = 0
-        cpu = 0
-        barrier_arrivals: Dict[int, List] = {}
-        # cpus currently parked at a barrier are in neither heap nor hand
-
-        heappushpop = heapq.heappushpop
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        miss = self._miss  # bind
-        yields = 0  # drain ended because another cpu's event came first
-        rare_pops = 0  # hand refills after a barrier park or trace end
-        barrier_pushes = 0
-        running = n_cpus > 0
-
-        while running:
-            # Switch in the hand cpu's context, then run it ahead while
-            # its next event, ordered as the tuple (time, cpu), sorts
-            # before the heap head: the classic loop would pop this cpu
-            # straight back, so executing here is schedule-exact (ties
-            # break by cpu id through tuple order, same as the heap).
-            # The drain leaves the heap untouched, so the head bound is
-            # loop-invariant.  An empty heap (every other cpu parked at
-            # a barrier, or done) is a head of +inf: nothing preempts.
-            it, blocks, states, lmask = ctxs[cpu]
-            head = heap[0] if heap else inf
-            for word in it:
-                if word < 0:
-                    # Barrier: park this cpu until everyone arrives.
-                    # Only the last arrival completes it, and that cpu
-                    # found the heap empty (every other cpu is parked
-                    # here); otherwise parking hands the machine to the
-                    # head.
-                    ident = -1 - word
-                    arrivals = barrier_arrivals.setdefault(ident, [])
-                    arrivals.append((t, cpu))
-                    if len(arrivals) == n_cpus:
-                        release = max(at for at, _ in arrivals) + barrier_cost
-                        base = release * n_cpus
-                        for at, c2 in arrivals:
-                            nodes[c2].stats.barrier_wait_cycles += release - at
-                            heappush(heap, base + c2)
-                        barrier_pushes += n_cpus
-                        del barrier_arrivals[ident]
-                        self.machine.stats.barriers_crossed += 1
-                    if heap:
-                        t, cpu = divmod(heappop(heap), n_cpus)
-                        rare_pops += 1
-                    else:
-                        # Deadlock: _settle reports the pending barrier.
-                        running = False
-                    break
-                # Access: addr/think/write unpacked straight from the
-                # word.  A resident line (tag match) always hits a read;
-                # writes additionally need M (>=) or E, and E upgrades
-                # to M in place.
-                b = word >> block_unpack
-                idx = b & lmask
-                if blocks[idx] == b and (
-                    not word & 1
-                    or (st := states[idx]) >= MODIFIED
-                    or st == EXCLUSIVE
-                ):
-                    if word & 1 and st == EXCLUSIVE:
-                        states[idx] = MODIFIED
-                    nt = t + ((word >> 1) & think_mask) + 1
-                else:
-                    now = t + ((word >> 1) & think_mask)
-                    st = states[idx] if blocks[idx] == b else INVALID
-                    nid = node_of[cpu]
-                    latency = miss(cpu, b, word & 1, st, now)
-                    misses_acc[nid] += 1
-                    stall_acc[nid] += latency
-                    nt = now + 1 + latency
-                ev = nt * n_cpus + cpu
-                if ev < head:
-                    # Still the earliest event machine-wide: run ahead.
-                    t = nt
-                    continue
-                t, cpu = divmod(heappushpop(heap, ev), n_cpus)
-                yields += 1
-                break
-            else:
-                # Trace exhausted: the cpu retires at its current clock
-                # (exactly when the classic loop's final pop would be).
-                finish[cpu] = t
-                if heap:
-                    t, cpu = divmod(heappop(heap), n_cpus)
-                    rare_pops += 1
-                else:
-                    running = False
-
-        return (
-            finish,
-            misses_acc,
-            stall_acc,
-            yields,
-            rare_pops,
-            barrier_pushes,
-            barrier_arrivals,
-        )
+        ``observer`` (see :mod:`repro.obs.attach`) is called as
+        ``before_miss(nid)`` and ``after_miss(cpu, nid, block, write,
+        now, latency)`` around every L1 miss, with the machine's
+        counters live; it must not change simulator state.
+        """
+        core = native.core()
+        if core is None:
+            raise ConfigurationError(
+                "the run-ahead engine needs its compiled core, which is "
+                f"unavailable ({native.status()})"
+            )
+        return self._settle(*core.run(self, resolve_home, observer))
 
     def _settle(
         self,
@@ -456,8 +229,8 @@ class SimulationEngine:
         barrier_pushes,
         barrier_arrivals,
     ) -> SimulationResult:
-        """Settle the deferred counters of a drained run (shared by the
-        Python loop and the compiled core) and build the result."""
+        """Settle the deferred counters of a drained run and build the
+        result."""
         node_of = self._node_of_cpu
         n_cpus = len(self._columns)
         n_nodes = len(self.machine.nodes)
@@ -500,269 +273,6 @@ class SimulationEngine:
             remote_pages_touched=len(machine.page_requesters),
         )
 
-    # ------------------------------------------------------------------
-    # miss path
-    #
-    # Everything below runs once per L1 miss and allocates nothing:
-    # directory outcomes and block-cache probes are packed ints, and
-    # L1 victims are read in place.  The read and write handlers are
-    # merged into one body with a shared install-into-L1 tail.
-    # ------------------------------------------------------------------
-
-    def _miss(self, cpu: int, b: int, w: int, st: int, now: int) -> int:
-        """Service an L1 miss (or write upgrade); returns added latency."""
-        costs = self._costs
-        g = b >> self._block_page_shift
-        node, nid, ns, pmap, peers, bus, lmask, lblocks_own, lstates_own = self._mctx[cpu]
-        mapping = pmap.get(g, MAP_UNMAPPED)
-        lat = 0
-
-        if mapping == MAP_UNMAPPED:
-            # Page absent from the placement map (user-supplied homes):
-            # first-touch it here, via the shared fallback.
-            home = resolve_home(self.homes, g, nid)
-            if home == nid:
-                node.page_table.map_local(g)
-                mapping = MAP_LOCAL
-            else:
-                lat += self.policy.on_page_fault(self.machine, node, g)
-                mapping = pmap.get(g, MAP_UNMAPPED)
-
-        # Every miss is a bus transaction on the node's memory bus.
-        lat += bus.acquire(now + lat, costs.bus_occupancy)
-        now += lat
-
-        if not w:
-            # -- read ------------------------------------------------------
-            state = SHARED
-            supplied = False
-            for pmask, pblocks, pstates in peers:
-                # MOESI snoop-read from a peer L1 holding M/O/E (plain
-                # SHARED copies never respond — the MBus rule that sends
-                # read-only remote misses to the home node, paper
-                # Section 4): M -> O, E -> S, O stays O.
-                idx = b & pmask
-                if pblocks[idx] == b:
-                    pst = pstates[idx]
-                    if pst == MODIFIED:
-                        pstates[idx] = OWNED
-                    elif pst == EXCLUSIVE:
-                        pstates[idx] = SHARED
-                    elif pst != OWNED:
-                        continue
-                    supplied = True
-                    break
-            if supplied:
-                ns.cache_to_cache += 1
-                ns.local_fills += 1
-                lat += costs.local_fill
-            elif mapping == MAP_LOCAL:
-                # A remote exclusive owner (if any) is recalled.
-                directory = self._directory
-                out = directory.home_read_access(b, nid)
-                prev_owner = ((out >> OUT_OWNER_SHIFT) & OUT_OWNER_MASK) - 1
-                if b in node.coherence_lost:
-                    ns.coherence_misses += 1
-                    node.coherence_lost.discard(b)
-                if prev_owner >= 0:
-                    # Recall the dirty copy from the remote owner.
-                    lat += costs.remote_fetch
-                    lat += self._network.round_trip_delay(nid, prev_owner, now)
-                    self._downgrade_node(prev_owner, b, g)
-                    ns.remote_fetches += 1
-                else:
-                    lat += costs.local_fill
-                    ns.local_fills += 1
-                if self._no_peer_copies(peers, b) and not directory.sharers_mask(b):
-                    state = EXCLUSIVE  # no cache anywhere holds it
-            elif mapping == MAP_CC:
-                flags = node.block_cache.probe(b)
-                if flags >= 0:
-                    ns.block_cache_hits += 1
-                    ns.local_fills += 1
-                    lat += costs.local_fill
-                    if flags & 1 and self._no_peer_copies(peers, b):
-                        state = EXCLUSIVE
-                else:
-                    ns.block_cache_misses += 1
-                    lat += self._remote_fetch(node, b, g, False, now)
-                    # The policy may have relocated the page mid-fetch
-                    # (R-NUMA).
-                    if pmap.get(g, MAP_UNMAPPED) == MAP_SCOMA:
-                        self._scoma_install(node, b, g, writable=False)
-                    else:
-                        self._block_cache_install(node, b, g, writable=False, now=now)
-            else:
-                # MAP_SCOMA
-                row = node.tag_rows.get(g)
-                tag = row[b & self._bpp_mask] if row is not None else BLOCK_INVALID
-                if tag != BLOCK_INVALID:
-                    ns.page_cache_hits += 1
-                    ns.local_fills += 1
-                    lat += costs.local_fill
-                    if node.page_cache.reorders_on_hit:
-                        node.page_cache.touch_hit(g)
-                    if tag == BLOCK_WRITABLE and self._no_peer_copies(peers, b):
-                        state = EXCLUSIVE
-                else:
-                    ns.page_cache_misses += 1
-                    lat += self._remote_fetch(node, b, g, False, now)
-                    if pmap.get(g, MAP_UNMAPPED) == MAP_SCOMA:
-                        self._scoma_install(node, b, g, writable=False)
-        else:
-            # -- write -----------------------------------------------------
-            state = MODIFIED
-            if mapping == MAP_LOCAL:
-                # Every remote copy is invalidated and cleared from
-                # was-held (their next miss is a coherence miss).
-                out = self._directory.home_write_access(b, nid)
-                prev_owner = ((out >> OUT_OWNER_SHIFT) & OUT_OWNER_MASK) - 1
-                inval = out >> OUT_INVAL_SHIFT
-                if inval:
-                    ns.invalidations_sent += inval.bit_count()
-                if b in node.coherence_lost:
-                    ns.coherence_misses += 1
-                    node.coherence_lost.discard(b)
-                if inval or prev_owner >= 0:
-                    # Write-sharing traffic: the home's write displaced
-                    # remote copies (Table 4's read-write classification).
-                    writers = self.machine.page_writers
-                    writers[g] = writers.get(g, 0) | (1 << nid)
-                    m = inval
-                    while m:
-                        low = m & -m
-                        self._invalidate_node_block(low.bit_length() - 1, b, g)
-                        m ^= low
-                    lat += costs.remote_fetch
-                    target = (
-                        prev_owner
-                        if prev_owner >= 0
-                        else (inval & -inval).bit_length() - 1
-                    )
-                    lat += self._network.round_trip_delay(nid, target, now)
-                    ns.remote_fetches += 1
-                elif st != INVALID:
-                    lat += costs.sram_access  # local upgrade, no data transfer
-                else:
-                    lat += costs.local_fill
-                    ns.local_fills += 1
-                    for pmask, pblocks, pstates in peers:
-                        # M/O/E supply; the canonical encoding makes
-                        # that one compare (state >= EXCLUSIVE).
-                        idx = b & pmask
-                        if pblocks[idx] == b and pstates[idx] >= EXCLUSIVE:
-                            ns.cache_to_cache += 1
-                            break
-            elif mapping == MAP_CC:
-                bc = node.block_cache
-                if self._directory.owner_of(b) == nid:
-                    # Node already has exclusive rights: intra-node
-                    # service — supply from a peer L1 (M/O/E), upgrade a
-                    # resident line in place, or fill from the node store.
-                    supplied = False
-                    for pmask, pblocks, pstates in peers:
-                        idx = b & pmask
-                        if pblocks[idx] == b and pstates[idx] >= EXCLUSIVE:
-                            supplied = True
-                            break
-                    if supplied:
-                        ns.cache_to_cache += 1
-                        ns.local_fills += 1
-                        lat += costs.local_fill
-                    elif st != INVALID:
-                        lat += costs.sram_access
-                    else:
-                        ns.local_fills += 1
-                        lat += costs.local_fill
-                    bc.mark_dirty(b)
-                else:
-                    holds_copy = st != INVALID or bc.probe(b) >= 0
-                    if not holds_copy:
-                        ns.block_cache_misses += 1
-                    lat += self._remote_fetch(node, b, g, True, now, holds_copy)
-                    if pmap.get(g, MAP_UNMAPPED) == MAP_SCOMA:
-                        self._scoma_install(node, b, g, writable=True)
-                    else:
-                        self._block_cache_install(node, b, g, writable=True, now=now)
-                        bc.mark_dirty(b)
-            else:
-                # MAP_SCOMA
-                off = b & self._bpp_mask
-                row = node.tag_rows.get(g)
-                tag = row[off] if row is not None else BLOCK_INVALID
-                if tag == BLOCK_WRITABLE:
-                    supplied = False
-                    for pmask, pblocks, pstates in peers:
-                        idx = b & pmask
-                        if pblocks[idx] == b and pstates[idx] >= EXCLUSIVE:
-                            supplied = True
-                            break
-                    if supplied:
-                        ns.cache_to_cache += 1
-                        ns.local_fills += 1
-                        lat += costs.local_fill
-                    elif st != INVALID:
-                        lat += costs.sram_access
-                    else:
-                        ns.local_fills += 1
-                        lat += costs.local_fill
-                    ns.page_cache_hits += 1
-                    if node.page_cache.reorders_on_hit:
-                        node.page_cache.touch_hit(g)
-                    node.tags.mark_dirty(g, off)
-                else:
-                    holds_copy = st != INVALID or tag == BLOCK_READONLY
-                    ns.page_cache_misses += 1
-                    lat += self._remote_fetch(node, b, g, True, now, holds_copy)
-                    if pmap.get(g, MAP_UNMAPPED) == MAP_SCOMA:
-                        self._scoma_install(node, b, g, writable=True)
-                        node.tags.mark_dirty(g, b & self._bpp_mask)
-            # A write leaves this CPU's L1 as the only copy on the node.
-            for pmask, pblocks, pstates in peers:
-                idx = b & pmask
-                if pblocks[idx] == b:
-                    pblocks[idx] = L1_EMPTY
-                    pstates[idx] = INVALID
-
-        # -- common tail: install into the requesting L1 -------------------
-        # The victim is read straight out of the L1 arrays before the
-        # frame is overwritten — no (block, state) tuple materializes —
-        # and the write-back of a dirty victim touches only node/machine
-        # state, never the L1 itself.
-        idx = b & lmask
-        vb = lblocks_own[idx]
-        if vb >= 0 and vb != b:
-            # Dirty victims (M/O — one compare under the canonical
-            # encoding) drain to the node-level backing store.
-            if lstates_own[idx] >= OWNED:
-                vg = vb >> self._block_page_shift
-                vmapping = pmap.get(vg, MAP_UNMAPPED)
-                if vmapping == MAP_CC:
-                    if not node.block_cache.mark_dirty(vb):
-                        # No block-cache frame (displaced): write
-                        # straight home.
-                        self._directory.writeback(vb, nid)
-                        self._network.one_way_delay(
-                            nid, now, dst=self.homes.get(vg, nid)
-                        )
-                        ns.block_cache_writebacks += 1
-                elif vmapping == MAP_SCOMA:
-                    node.tags.mark_dirty(vg, vb & self._bpp_mask)
-                # MAP_LOCAL: local memory absorbs the write-back for free.
-        lblocks_own[idx] = b
-        lstates_own[idx] = state
-        return lat
-
-    # -- shared helpers --------------------------------------------------
-
-    def _no_peer_copies(self, peers, b: int) -> bool:
-        """No peer L1 in ``peers`` (the (mask, blocks, states) triples
-        of the other slots on the node) holds the block."""
-        for lmask, lblocks, _lstates in peers:
-            if lblocks[b & lmask] == b:
-                return False
-        return True
-
     def _block_cache_install(self, node: Node, b: int, g: int, writable: bool, now: int) -> None:
         """Install a freshly fetched block, evicting as needed.
 
@@ -788,128 +298,6 @@ class SimulationEngine:
             node.stats.block_cache_writebacks += 1
         bc.fill(b, writable)
 
-    def _scoma_install(self, node: Node, b: int, g: int, writable: bool) -> None:
-        """Record a fetched block in the page-cache tags and LRM order."""
-        off = b & self._bpp_mask
-        node.tags.set(g, off, BLOCK_WRITABLE if writable else BLOCK_READONLY)
-        node.page_cache.touch_miss(g)
-
-    # -- inter-node ------------------------------------------------------
-
-    def _remote_fetch(
-        self, node: Node, b: int, g: int, write: bool, now: int, upgrade: bool = False
-    ) -> int:
-        """Fetch ``b`` from its home; returns latency including
-        contention, refetch policy action, and invalidation fan-out."""
-        machine = self.machine
-        costs = self._costs
-        nid = node.node_id
-        nbit = 1 << nid
-        home = self.homes[g]
-
-        if write:
-            out = self._directory.write_request(b, nid, upgrade=upgrade)
-            inval = out >> OUT_INVAL_SHIFT
-            n_inval = inval.bit_count()
-            node.stats.invalidations_sent += n_inval
-            extra = costs.invalidate_per_sharer * n_inval
-            while inval:
-                low = inval & -inval
-                self._invalidate_node_block(low.bit_length() - 1, b, g)
-                inval ^= low
-            # The home node's own processor caches lose their copies
-            # too.  Only its L1s can hold the block: the home's block
-            # cache and fine-grain tags store *remote* data only, and
-            # ``b`` is local to ``home``.
-            home_node = self._nodes[home]
-            had_copy = False
-            for lmask, lblocks, lstates in home_node.l1_arrays:
-                idx = b & lmask
-                if lblocks[idx] == b:
-                    lblocks[idx] = L1_EMPTY
-                    lstates[idx] = INVALID
-                    had_copy = True
-            if had_copy:
-                home_node.coherence_lost.add(b)
-        else:
-            out = self._directory.read_request(b, nid)
-            prev_owner = ((out >> OUT_OWNER_SHIFT) & OUT_OWNER_MASK) - 1
-            # Limited-pointer eviction overflow sheds a sharer on a
-            # *read*: fan the eviction out like a write invalidation.
-            evict = out >> OUT_INVAL_SHIFT
-            extra = 0
-            if evict:
-                n_evict = evict.bit_count()
-                node.stats.invalidations_sent += n_evict
-                extra = costs.invalidate_per_sharer * n_evict
-                while evict:
-                    low = evict & -evict
-                    self._invalidate_node_block(low.bit_length() - 1, b, g)
-                    evict ^= low
-            if prev_owner >= 0:
-                self._downgrade_node(prev_owner, b, g)
-            # Downgrade the home's copies: L1s only, same argument.
-            for lmask, lblocks, lstates in self._nodes[home].l1_arrays:
-                idx = b & lmask
-                if lblocks[idx] == b:
-                    lstates[idx] = SHARED
-
-        lat = costs.remote_fetch + self._network.round_trip_delay(nid, home, now, extra)
-        node.stats.remote_fetches += 1
-
-        requesters = machine.page_requesters
-        requesters[g] = requesters.get(g, 0) | nbit
-        if write:
-            writers = machine.page_writers
-            writers[g] = writers.get(g, 0) | nbit
-
-        if out & 1:  # refetch
-            node.stats.refetches += 1
-            machine.record_refetch(nid, g)
-            lat += self.policy.on_refetch(machine, node, g)
-        elif b in node.coherence_lost:
-            node.stats.coherence_misses += 1
-            node.coherence_lost.discard(b)
-        return lat
-
-    def _invalidate_node_block(self, victim_node: int, b: int, g: int) -> None:
-        """Remove every copy of ``b`` on ``victim_node`` (coherence)."""
-        v = self._nodes[victim_node]
-        had_copy = False
-        for lmask, lblocks, lstates in v.l1_arrays:
-            idx = b & lmask
-            if lblocks[idx] == b:
-                lblocks[idx] = L1_EMPTY
-                lstates[idx] = INVALID
-                had_copy = True
-        if v.block_cache.invalidate_probe(b) >= 0:
-            had_copy = True
-        row = v.tag_rows.get(g)
-        if row is not None:
-            off = b & self._bpp_mask
-            if row[off] != BLOCK_INVALID:
-                # tags.set keeps the dirty-bit bookkeeping consistent.
-                v.tags.set(g, off, BLOCK_INVALID)
-                had_copy = True
-        if had_copy:
-            v.coherence_lost.add(b)
-
-    def _downgrade_node(self, owner_node: int, b: int, g: int) -> None:
-        """The previous exclusive owner keeps a shared, clean copy."""
-        v = self._nodes[owner_node]
-        for lmask, lblocks, lstates in v.l1_arrays:
-            idx = b & lmask
-            if lblocks[idx] == b:
-                lstates[idx] = SHARED
-        v.block_cache.downgrade(b)
-        row = v.tag_rows.get(g)
-        if row is not None:
-            off = b & self._bpp_mask
-            if row[off] == BLOCK_WRITABLE:
-                row[off] = BLOCK_READONLY
-                # Data went home; the local copy is now clean.
-                v.tags.clear_dirty(g, off)
-
 
 def simulate(
     config: SystemConfig,
@@ -917,14 +305,7 @@ def simulate(
     homes: Optional[Dict[int, int]] = None,
 ) -> SimulationResult:
     """Build the engine ``config.engine`` selects, run it, and return
-    the result.
-
-    The default ``"runahead"`` backend constructs directly (no registry
-    hop on the common path); anything else dispatches through
-    :func:`repro.sim.factory.make_engine`.
-    """
-    if config.engine == "runahead" and not config.obs.enabled:
-        return SimulationEngine(config, traces, homes).run()
+    the result (:func:`repro.sim.factory.simulate_with`)."""
     from repro.sim.factory import simulate_with
 
     return simulate_with(config, traces, homes)

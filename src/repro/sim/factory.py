@@ -1,13 +1,12 @@
 """Engine backend registry and selection.
 
-Two interchangeable schedulers drive the same machine model and miss
-path, selected by ``SystemConfig.engine``:
+Two interchangeable schedulers drive the same machine model, selected
+by ``SystemConfig.engine``:
 
 ``runahead``
     The drain-loop scheduler (:class:`~repro.sim.engine.SimulationEngine`),
-    the production default.  When a C compiler is present its loop and
-    miss path run in the compiled core (:mod:`repro.sim.native`), with
-    identical results.
+    the production default.  Its loop and miss path are the compiled
+    core (:mod:`repro.sim.native`).
 ``reference``
     The frozen classic loop over the pre-columnar structures
     (:class:`~repro.sim.reference.ReferenceEngine`), the differential
@@ -15,14 +14,19 @@ path, selected by ``SystemConfig.engine``:
 
 Both produce bit-identical :class:`SimulationResult`\\ s — the
 differential property suites pin the contract — so the selection
-affects wall time only.
+affects wall time only.  That contract is also the fallback: where the
+core cannot be built, :func:`make_engine` runs a full-map ``runahead``
+config on the reference engine (see there).
 """
 
 from __future__ import annotations
 
+import warnings
 from typing import Dict, List, Optional, Sequence
 
+from repro.common.errors import ConfigurationError
 from repro.common.params import SystemConfig
+from repro.sim import native
 from repro.sim.engine import SimulationEngine
 from repro.sim.results import SimulationResult
 
@@ -43,6 +47,9 @@ _BUILDERS = {
     "reference": _reference,
 }
 
+#: Whether this process has warned that run-ahead runs fall back.
+_fallback_warned = False
+
 
 def engine_backends() -> List[Dict[str, str]]:
     """Rows describing every backend, for the CLI ``engines`` listing.
@@ -58,8 +65,6 @@ def engine_backends() -> List[Dict[str, str]]:
     ):
         row = {"name": name, "summary": summary}
         if name == "runahead":
-            from repro.sim import native
-
             row["native"] = native.status()
         rows.append(row)
     return rows
@@ -71,8 +76,37 @@ def make_engine(
     homes: Optional[Dict[int, int]] = None,
 ) -> SimulationEngine:
     """Construct the engine backend ``config.engine`` selects (the
-    config validates the name)."""
-    return _BUILDERS[config.engine](config, traces, homes)
+    config validates the name).
+
+    Without the compiled core there is no run-ahead loop.  A
+    ``runahead`` config on the full-map directory is then built as the
+    reference engine, with one ``RuntimeWarning`` per process; the two
+    are bit-identical by contract, so its results and run key are
+    unchanged.  Any other directory representation raises
+    :class:`ConfigurationError`: the reference engine simulates the
+    full map only.
+    """
+    global _fallback_warned
+    name = config.engine
+    if name == "runahead" and native.core() is None:
+        reason = native.status()
+        representation = config.directory.representation
+        if representation != "fullmap":
+            raise ConfigurationError(
+                f"the {representation!r} directory runs only on the compiled "
+                f"run-ahead core, which is unavailable ({reason}); install a "
+                "C compiler or set $CC"
+            )
+        if not _fallback_warned:
+            _fallback_warned = True
+            warnings.warn(
+                f"repro: compiled run-ahead core unavailable ({reason}); "
+                "running the reference engine, whose results are identical",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        name = "reference"
+    return _BUILDERS[name](config, traces, homes)
 
 
 def simulate_with(
@@ -84,9 +118,8 @@ def simulate_with(
 
     When ``config.obs`` enables tracing or metrics, the run goes
     through :func:`repro.obs.attach.observed_run` (imported only then —
-    the obs package stays unloaded for ordinary runs), which attaches
-    the miss-hook instrumentation before the run loop starts.  Results
-    are bit-identical either way.
+    the obs package stays unloaded for ordinary runs), which observes
+    every miss.  Results are bit-identical either way.
     """
     engine = make_engine(config, traces, homes)
     if config.obs.enabled:

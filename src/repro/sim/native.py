@@ -1,14 +1,16 @@
 """Loader for the run-ahead engine's compiled core (``_core.c``).
 
-The core is an optional CPython extension that runs
-:meth:`SimulationEngine.run`'s drain loop and miss path in C, on the
-engine's own objects (see docs/architecture.md, "Compiled core").  It
-is not a separate engine: results are bit-identical to the Python loop
-and the run's identity (``config.engine == "runahead"``) is unchanged.
+The core is a CPython extension that is
+:meth:`SimulationEngine.run`: the drain loop and the whole miss path in
+C, on the engine's own objects (see docs/architecture.md, "Compiled
+core").  Without it there is no run-ahead loop:
+:func:`repro.sim.factory.make_engine` builds the full-map run-ahead
+configs as the bit-identical reference engine instead, and rejects the
+other directory representations.
 
 The module is built lazily, at the first :func:`core` call (the first
-eligible engine run, or the first :func:`status` query), never at
-import.  It is compiled with
+run-ahead engine selection or run, or the first :func:`status` query),
+never at import.  It is compiled with
 ``sysconfig``'s ``CC`` (``$CC`` overrides it, as for any extension
 build) against the running interpreter's headers, and cached where
 Python caches bytecode: under ``sys.pycache_prefix`` when that is set,
@@ -16,9 +18,8 @@ else in this package's ``__pycache__/``.  The cached file is keyed by
 the sha256 of the C source and the interpreter's ``EXT_SUFFIX`` and
 installed with ``os.replace``, so concurrent workers that build at
 once each load a complete module.  When no compiler is found, or the
-build or load fails, :func:`core` returns None (a failure other than a
-missing compiler warns once per process) and the engine runs its
-Python loop.
+build or load fails, :func:`core` returns None and :func:`status` says
+why.
 """
 
 from __future__ import annotations
@@ -32,18 +33,11 @@ from typing import Dict, List, Optional
 
 SOURCE = Path(__file__).with_name("_core.c")
 
-#: Sharer masks are read as int64, so the core serves at most 63 nodes.
-MAX_NODES = 63
-
 #: The loaded extension, or the reason there is none (one attempt per
 #: process).
 _module: Optional[ModuleType] = None
 _reason: Optional[str] = None
 _tried = False
-
-#: Test seam: when True, :func:`core` reports the core as off and the
-#: engine runs its Python loop.  Not a user setting.
-_force_python = False
 
 
 def source_sha256() -> str:
@@ -153,7 +147,6 @@ def _expected_constants() -> Dict[str, object]:
         "addr_shift": ADDR_SHIFT,
         "think_mask": THINK_MASK,
         "out_inval_shift": OUT_INVAL_SHIFT,
-        "max_nodes": MAX_NODES,
         "empty": EMPTY,
     }
 
@@ -180,22 +173,10 @@ def _init() -> None:
         _reason = str(exc)
     except (ImportError, OSError) as exc:
         _reason = f"load failed: {exc}"
-    # A missing compiler is an expected setup; anything else is a fault.
-    if _module is None and _reason != "no C compiler":
-        import warnings
-
-        warnings.warn(
-            f"repro: compiled run-ahead core unavailable ({_reason}); "
-            "using the Python loop",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def core() -> Optional[ModuleType]:
     """The compiled core, building it on first use; None when off."""
-    if _force_python:
-        return None
     if not _tried:
         _init()
     return _module
@@ -203,8 +184,6 @@ def core() -> Optional[ModuleType]:
 
 def status() -> str:
     """``"active"``, or why the core is off (builds it if needed)."""
-    if _force_python:
-        return "disabled"
     core()
     return "active" if _module is not None else str(_reason)
 

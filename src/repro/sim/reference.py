@@ -24,10 +24,15 @@ map, so :meth:`ReferenceEngine.__init__` rejects any other
 ``SystemConfig.directory`` representation with a
 :class:`~repro.common.errors.ConfigurationError` rather than silently
 simulating the full map under the inexact config's key.  On
-limited-pointer and coarse-vector directories the run-ahead engine's
-Python loop, which shares the canonical
-:mod:`repro.coherence.directory` implementations, is the oracle the
-compiled core is compared against.
+limited-pointer and coarse-vector directories the compiled core is
+checked three ways instead: exact-capacity configs (``pointers >=
+nodes``, ``region_size == 1``) must equal this engine on the full map;
+``tests/property/test_directory_repr_differential.py`` drives each
+representation in lockstep with an independent true-holder model; and
+the golden reproduction output pins the directory extension's rows.
+
+It is also the run-ahead engine's stand-in where the compiled core
+cannot be built (see :func:`repro.sim.factory.make_engine`).
 
 Do not optimize this file.  Its value is being obviously equivalent to
 the semantics the fast engine must preserve.
@@ -60,10 +65,6 @@ from repro.vm.page_table import MAP_CC, MAP_LOCAL, MAP_SCOMA, MAP_UNMAPPED
 
 class ReferenceEngine(SimulationEngine):
     """One heap pop + push per reference on the pre-columnar structures."""
-
-    #: The classic loop passes the node and L1 objects explicitly:
-    #: ``(cpu, node, l1, b, w, st, now) -> lat`` (see repro.obs.attach).
-    _MISS_HOOK = "legacy"
 
     def __init__(
         self,

@@ -15,8 +15,6 @@ L1 and the block cache, which makes refetch scenarios two lines long.
 
 from __future__ import annotations
 
-import contextlib
-
 import pytest
 
 from repro.common.addressing import AddressSpace
@@ -33,41 +31,27 @@ def _isolated_result_store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "result-store"))
 
 
-@contextlib.contextmanager
-def python_loop():
-    """Run the run-ahead engine on its pure-Python loop inside the
-    block (the test seam of :mod:`repro.sim.native`)."""
-    from repro.sim import native
-
-    saved = native._force_python
-    native._force_python = True
-    try:
-        yield
-    finally:
-        native._force_python = saved
-
-
 class CoreSpy:
     """Stands in for the loaded core and counts the runs it serves."""
 
     def __init__(self, real):
         self.real = real
         self.calls = 0
+        self.observers = []
 
-    def run(self, *args):
+    def run(self, engine, resolve_home, observer=None):
         self.calls += 1
-        return self.real.run(*args)
+        self.observers.append(observer)
+        return self.real.run(engine, resolve_home, observer)
 
 
 @pytest.fixture
 def native_path(monkeypatch):
-    """The native leg of a suite: run-ahead runs use the compiled core;
-    skipped, with the reason, where the core cannot be built.
+    """The compiled core serves the suite's run-ahead runs; skipped,
+    with the reason, where the core cannot be built.
 
-    Yields a :class:`CoreSpy` around the core, and fails any run the
-    core should have served but did not (exactly ``SimulationEngine``,
-    no instance ``_miss`` hook, at most ``MAX_NODES`` nodes, Python
-    loop not forced), so a silent fallback cannot pass for agreement.
+    Yields a :class:`CoreSpy` around the core, and fails any
+    ``SimulationEngine.run`` the core did not serve.
     """
     from repro.sim import native
     from repro.sim.engine import SimulationEngine
@@ -79,28 +63,14 @@ def native_path(monkeypatch):
     monkeypatch.setattr(native, "_module", spy)
     engine_run = SimulationEngine.run
 
-    def run(engine):
-        eligible = (
-            not native._force_python
-            and type(engine) is SimulationEngine
-            and "_miss" not in engine.__dict__
-            and len(engine._nodes) <= native.MAX_NODES
-        )
+    def run(engine, *args, **kwargs):
         before = spy.calls
-        result = engine_run(engine)
-        if eligible:
-            assert spy.calls == before + 1, "the compiled core did not serve the run"
+        result = engine_run(engine, *args, **kwargs)
+        assert spy.calls == before + 1, "the compiled core did not serve the run"
         return result
 
     monkeypatch.setattr(SimulationEngine, "run", run)
     yield spy
-
-
-@pytest.fixture
-def python_path():
-    """The Python leg of a suite: run-ahead runs use the Python loop."""
-    with python_loop():
-        yield
 
 
 TINY_SPACE = AddressSpace(block_size=64, page_size=512)

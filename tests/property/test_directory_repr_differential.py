@@ -31,11 +31,12 @@ from repro.coherence.directory import (
     out_inval_mask,
 )
 from repro.common.errors import ConfigurationError, ProtocolError
-from repro.common.params import DirectoryParams
+from repro.common.params import DirectoryParams, MachineParams
 from repro.sim import simulate, simulate_reference
 
 from tests.conftest import tiny_config
 from tests.property.test_runahead_differential import (
+    _wide_machine_traces,
     assert_identical_results,
     programs,
 )
@@ -312,6 +313,30 @@ class TestEngineLevel:
                 simulate(config, [list(t) for t in traces]),
                 simulate_reference(tiny_config(protocol), [list(t) for t in traces]),
             )
+
+    @pytest.mark.parametrize("nodes", (40, 96))
+    def test_exact_parameters_match_the_reference_engine_on_wide_machines(
+        self, nodes
+    ):
+        """Past 31 nodes an invalidated sharer's bit lands above bit 63
+        of the packed outcome, and past 63 nodes the sharer masks
+        themselves outgrow an int64: both must decode at any width."""
+        machine = MachineParams(nodes=nodes, cpus_per_node=1)
+        traces = _wide_machine_traces(nodes)
+        exact = (
+            DirectoryParams(representation="limited", pointers=nodes, overflow="broadcast"),
+            DirectoryParams(representation="limited", pointers=nodes, overflow="evict"),
+            DirectoryParams(representation="coarse", region_size=1),
+        )
+        for protocol in PROTOCOLS:
+            slow = simulate_reference(
+                tiny_config(protocol, machine=machine), [list(t) for t in traces]
+            )
+            for params in exact:
+                config = tiny_config(protocol, machine=machine, directory=params)
+                assert_identical_results(
+                    simulate(config, [list(t) for t in traces]), slow
+                )
 
     @pytest.mark.parametrize("params", EXACT_PARAMS + INEXACT_PARAMS)
     def test_reference_engine_rejects_non_fullmap_directories(self, params):

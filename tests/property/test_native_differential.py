@@ -6,27 +6,27 @@ transcribes the drain loop and the whole miss path.  The run-ahead
 differential, topology, reset and stats suites already run on it
 (their default path) against the frozen reference, on full-map
 directories.  This module adds what they leave out: the non-uniform
-fabrics, inexact sharer sets, pages missing from the placement map,
-the widest machine the core serves, and which runs the core serves at
-all.  The whole :class:`~repro.sim.results.SimulationResult` must
-match.
+fabrics, the limited-pointer and coarse-vector directories, pages
+missing from the placement map, the widest machine the int64 directory
+columns serve, and that the core serves every run.  The whole
+:class:`~repro.sim.results.SimulationResult` must match.
 
 Oracle scope: the reference engine simulates the full-map directory
-only (see :mod:`repro.sim.reference`), so on the limited-pointer and
-coarse-vector representations the core is compared against the
-run-ahead engine's Python loop, which shares their implementations.
+only (see :mod:`repro.sim.reference`), so the limited-pointer and
+coarse-vector representations are compared at exact capacity, where
+they must equal the full map.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.params import MachineParams, ObsParams
+from repro.common.params import DirectoryParams, MachineParams, ObsParams
 from repro.common.records import Access
 from repro.sim import simulate, simulate_reference
 
-from tests.conftest import python_loop, tiny_config
-from tests.property.test_directory_repr_differential import INEXACT_PARAMS
+from tests.conftest import tiny_config
+from tests.property.test_directory_repr_differential import EXACT_PARAMS
 from tests.property.test_runahead_differential import (
     PROTOCOLS,
     _wide_machine_traces,
@@ -35,11 +35,6 @@ from tests.property.test_runahead_differential import (
 )
 
 pytestmark = pytest.mark.usefixtures("native_path")
-
-
-def _python(config, traces, homes=None):
-    with python_loop():
-        return simulate(config, traces, homes)
 
 
 @given(
@@ -60,27 +55,29 @@ def test_native_matches_reference_across_topologies(traces, protocol, topology):
 
 @given(traces=programs(), protocol=st.sampled_from(PROTOCOLS))
 @settings(max_examples=60, deadline=None)
-def test_native_matches_python_on_inexact_directories(traces, protocol):
+def test_native_matches_reference_on_exact_capacity_directories(traces, protocol):
     """Limited-pointer and coarse-vector requests go through the
-    canonical Directory methods from C; the Python loop is the oracle
-    for these representations."""
-    for params in INEXACT_PARAMS:
+    canonical Directory methods from C; at exact capacity they must
+    equal the full-map reference."""
+    slow = simulate_reference(tiny_config(protocol), [list(t) for t in traces])
+    for params in EXACT_PARAMS:
         config = tiny_config(protocol, directory=params)
         fast = simulate(config, [list(t) for t in traces])
-        slow = _python(config, [list(t) for t in traces])
         assert_identical_results(fast, slow)
 
 
 @given(traces=programs())
 @settings(max_examples=20, deadline=None)
-def test_native_matches_python_inexact_multi_cpu_nodes(traces):
+def test_native_matches_reference_exact_capacity_multi_cpu_nodes(traces):
     traces = [list(traces[0]), list(traces[1]), list(traces[1]), list(traces[0])]
     machine = MachineParams(nodes=2, cpus_per_node=2)
     for protocol in PROTOCOLS:
-        for params in INEXACT_PARAMS:
+        slow = simulate_reference(
+            tiny_config(protocol, machine=machine), [list(t) for t in traces]
+        )
+        for params in EXACT_PARAMS:
             config = tiny_config(protocol, machine=machine, directory=params)
             fast = simulate(config, [list(t) for t in traces])
-            slow = _python(config, [list(t) for t in traces])
             assert_identical_results(fast, slow)
 
 
@@ -99,7 +96,9 @@ def test_native_unplaced_pages_match_reference(traces, protocol):
 
 
 def test_native_matches_reference_at_63_nodes():
-    """The widest machine the core serves: sharer masks use bit 62."""
+    """The widest machine on the int64 directory columns: sharer masks
+    use bit 62.  Wider machines call the canonical Directory methods
+    (``test_runahead_differential``'s 64-node case)."""
     machine = MachineParams(nodes=63, cpus_per_node=1)
     traces = _wide_machine_traces(63)
     for protocol in PROTOCOLS:
@@ -109,24 +108,22 @@ def test_native_matches_reference_at_63_nodes():
         assert_identical_results(fast, slow)
 
 
-def test_only_eligible_runs_use_the_core(native_path, tmp_path):
+def test_every_run_uses_the_core(native_path, tmp_path):
+    """An observed run, a 64-node machine and a 40-node limited
+    directory, whose outcome masks outgrow an int64, all run on the
+    core."""
     spy = native_path
     traces = [[Access(0, True, 1), Access(512, False, 0)], [Access(512, True, 2)]]
-
-    simulate(tiny_config("rnuma"), [list(t) for t in traces])
-    assert spy.calls == 1
-
-    # The reference engine, an observed run (instance ``_miss`` hook)
-    # and a 64-node machine all stay on Python code.
-    simulate_reference(tiny_config("rnuma"), [list(t) for t in traces])
     observed = tiny_config("rnuma").with_obs(
         ObsParams(trace_path=str(tmp_path / "t.json"))
     )
     simulate(observed, [list(t) for t in traces])
     wide = tiny_config("ccnuma", machine=MachineParams(nodes=64, cpus_per_node=1))
     simulate(wide, [list(t) for t in _wide_machine_traces(64)])
-    assert spy.calls == 1
-
-    with python_loop():
-        simulate(tiny_config("rnuma"), [list(t) for t in traces])
-    assert spy.calls == 1
+    limited = tiny_config(
+        "ccnuma",
+        machine=MachineParams(nodes=40, cpus_per_node=1),
+        directory=DirectoryParams(representation="limited", pointers=2),
+    )
+    simulate(limited, [list(t) for t in _wide_machine_traces(40)])
+    assert spy.calls == 3

@@ -6,11 +6,11 @@ The obs contract has two sides, and each gets pinned here:
   bit-identical :class:`~repro.sim.results.SimulationResult` to an
   untraced run, for every engine backend, while the emitted artifacts
   pass their checked-in schemas and carry the events the paper's
-  dynamics produce (refetches, threshold crossings, relocations).
+  dynamics produce (refetches, threshold crossings, relocations).  The
+  compiled core and the reference emit the same events and metrics.
 * **Structurally zero-cost when off** — a disabled-obs run never
-  imports the obs hook module and never installs a ``_miss`` wrapper
-  on the engine, so the hot path is byte-identical to a build without
-  the package.
+  imports the obs hook module and hands the compiled core no observer,
+  so each miss costs one NULL test.
 """
 
 import json
@@ -23,7 +23,6 @@ import pytest
 from repro.common.params import ObsParams
 from repro.obs.schema import validate_metrics_file, validate_trace_file
 from repro.sim import simulate
-from repro.sim.factory import make_engine
 
 from tests.conftest import tiny_config
 from tests.property.test_runahead_differential import assert_identical_results
@@ -190,10 +189,52 @@ def test_disabled_obs_is_structurally_absent():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_disabled_obs_installs_no_wrapper():
-    """With obs disabled nothing touches the engine: ``_miss`` stays
-    the plain class method, with no observing wrapper in between (so
-    the run stays eligible for the compiled core)."""
-    config = tiny_config("ccnuma")
-    engine = make_engine(config, _traces())
-    assert "_miss" not in engine.__dict__
+def test_disabled_obs_installs_no_wrapper(native_path):
+    """With obs disabled nothing observes the run: the compiled core
+    gets no observer, so a miss costs it one NULL test."""
+    simulate(tiny_config("ccnuma"), _traces())
+    assert native_path.observers == [None]
+
+
+def _events(path):
+    """Trace events without the run-level metadata (which names the
+    engine)."""
+    return json.loads(open(path).read())["traceEvents"]
+
+
+def _metric_bodies(path):
+    """Every metrics record but the meta line (which names the engine
+    and carries provenance)."""
+    records = [json.loads(line) for line in open(path) if line.strip()]
+    return [r for r in records if r["type"] != "meta"]
+
+
+def _assert_core_emits_what_the_reference_emits(config, traces, tmp_path):
+    core_obs = _obs(tmp_path, "core", metrics_interval=2000)
+    ref_obs = _obs(tmp_path, "reference", metrics_interval=2000)
+    fast = simulate(config.with_obs(core_obs), traces)
+    slow = simulate(config.with_engine("reference").with_obs(ref_obs), traces)
+    assert_identical_results(fast, slow)
+    events = _events(core_obs.trace_path)
+    assert len(events) > 2
+    assert events == _events(ref_obs.trace_path)
+    bodies = _metric_bodies(core_obs.metrics_path)
+    assert {r["type"] for r in bodies} == {"sample", "final"}
+    assert bodies == _metric_bodies(ref_obs.metrics_path)
+
+
+@pytest.mark.parametrize("protocol", ("ccnuma", "scoma", "rnuma"))
+def test_core_and_reference_emit_identical_observations(protocol, tmp_path):
+    """The core writes its mirrored counters back around every observed
+    miss, so its trace events and metrics bodies match the reference
+    loop's, record for record."""
+    config = tiny_config(protocol)
+    _assert_core_emits_what_the_reference_emits(config, _traces(), tmp_path)
+
+
+def test_core_and_reference_emit_identical_observations_on_an_app(tmp_path):
+    from repro.experiments.config import rnuma_config
+    from repro.workloads.registry import build_program
+
+    program = build_program("em3d", scale=0.05)
+    _assert_core_emits_what_the_reference_emits(rnuma_config(), program, tmp_path)

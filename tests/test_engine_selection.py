@@ -1,20 +1,24 @@
 """Engine-backend selection plumbing: the ``SystemConfig.engine``
-field, the factory, and the engines' independence from NumPy (only the
-radix trace generator needs it).
+field, the factory, its fallback where the compiled core cannot be
+built, and the engines' independence from NumPy (only the radix trace
+generator needs it).
 """
 
 import sys
+import warnings
 
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.params import (
+    DirectoryParams,
     SystemConfig,
     config_from_dict,
     config_to_dict,
 )
+from repro.common.records import Access
 from repro.experiments.runner import config_key
-from repro.sim import factory
+from repro.sim import factory, native
 from repro.sim.engine import SimulationEngine
 from repro.sim.reference import ReferenceEngine
 
@@ -49,6 +53,7 @@ class TestConfigField:
 
 
 class TestFactory:
+    @pytest.mark.usefixtures("native_path")
     def test_builds_each_backend(self):
         traces = [[], []]
         cfg = tiny_config("ccnuma")
@@ -92,6 +97,49 @@ class TestFactory:
             cfg.with_engine("reference"), [list(t) for t in traces]
         )
         assert fast.exec_cycles == slow.exec_cycles
+
+
+@pytest.fixture
+def no_core(monkeypatch):
+    """This process behaves as if the core could not be built."""
+    monkeypatch.setattr(native, "_tried", True)
+    monkeypatch.setattr(native, "_module", None)
+    monkeypatch.setattr(native, "_reason", "no C compiler")
+    monkeypatch.setattr(factory, "_fallback_warned", False)
+
+
+@pytest.mark.usefixtures("no_core")
+class TestWithoutTheCore:
+    TRACES = [[Access(0, True, 1), Access(512, False, 0)], [Access(512, True, 2)]]
+
+    def test_fullmap_runahead_runs_on_the_reference_with_one_warning(self):
+        cfg = tiny_config("rnuma")
+        with pytest.warns(RuntimeWarning, match=r"unavailable \(no C compiler\)"):
+            engine = factory.make_engine(cfg, [list(t) for t in self.TRACES])
+        assert type(engine) is ReferenceEngine
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = factory.simulate_with(cfg, [list(t) for t in self.TRACES])
+        # Same identity as a core run: the config (and so the run key)
+        # still names the run-ahead engine.
+        assert result.config == cfg
+        oracle = factory.simulate_with(
+            cfg.with_engine("reference"), [list(t) for t in self.TRACES]
+        )
+        assert result.to_json_dict()["stats"] == oracle.to_json_dict()["stats"]
+
+    @pytest.mark.parametrize("representation", ("limited", "coarse"))
+    def test_inexact_directories_need_the_core(self, representation):
+        cfg = tiny_config(
+            "ccnuma", directory=DirectoryParams(representation=representation)
+        )
+        with pytest.raises(ConfigurationError, match="no C compiler"):
+            factory.make_engine(cfg, [[], []])
+
+    def test_a_direct_engine_run_names_the_missing_compiler(self):
+        engine = SimulationEngine(tiny_config("ccnuma"), [[], []])
+        with pytest.raises(ConfigurationError, match="no C compiler"):
+            engine.run()
 
 
 class TestSimulateDispatch:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.params import ObsParams
 from repro.common.records import Access, Barrier
 from repro.experiments.config import cc_config, ideal, rnuma_config, scoma_config
 from repro.machine.machine import Machine
@@ -21,7 +22,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.reference import ReferenceEngine
 from repro.workloads.registry import build_program
 
-from tests.conftest import python_loop, tiny_config
+from tests.conftest import tiny_config
 
 pytestmark = pytest.mark.usefixtures("native_path")
 
@@ -144,35 +145,48 @@ class TestEngineReset:
         engine.reset()
         assert _snapshot(engine.run()) == first
 
-    def test_native_and_python_runs_interleave_on_an_app(self):
+    def test_untraced_then_traced_runs_identical_on_an_app(self, tmp_path):
         # The compiled core keeps bus/NI/RAD state and some counters in
-        # C during a run; it must write all of it back, so a Python-loop
-        # run after reset() on the same machine sees exactly the state
-        # a Python-loop run would have left.
+        # C during a run, and writes them back around every observed
+        # miss as well as at the end; a traced run after reset() on the
+        # same machine must see exactly the state an untraced run left.
+        from repro.obs.attach import observed_run
+
         program = build_program("em3d", scale=0.05)
+        obs = ObsParams(
+            trace_path=str(tmp_path / "t.json"),
+            metrics_path=str(tmp_path / "m.jsonl"),
+        )
         for config in (ideal(), cc_config(), scoma_config(), rnuma_config()):
             engine = SimulationEngine(config, program)
             first = _snapshot(engine.run())
             engine.reset()
-            with python_loop():
-                second = _snapshot(engine.run())
-            assert second == first, f"paths drifted for {config.protocol}"
+            second = _snapshot(observed_run(engine, obs))
+            assert second == first, f"tracing drifted for {config.protocol}"
 
-    def test_native_and_python_runs_interleave_on_tiny_conflict_traces(self):
+    def test_untraced_then_traced_runs_identical_on_tiny_conflict_traces(
+        self, tmp_path
+    ):
+        from repro.obs.attach import observed_run
+
         traces = [
             [Access(a * 64, is_write=a % 3 == 0, think=1) for a in range(120)]
             + [Barrier(0)],
             [Access((a * 64 + 512) % 4096, think=0) for a in range(120)]
             + [Barrier(0)],
         ]
+        obs = ObsParams(
+            trace_path=str(tmp_path / "t.json"),
+            metrics_path=str(tmp_path / "m.jsonl"),
+            metrics_interval=50,
+        )
         for protocol in PROTOCOLS:
             config = tiny_config(protocol)
             engine = SimulationEngine(config, [list(t) for t in traces])
-            with python_loop():
-                first = _snapshot(engine.run())
+            first = _snapshot(engine.run())
             engine.reset()
-            second = _snapshot(engine.run())
-            assert second == first, f"paths drifted for {protocol}"
+            second = _snapshot(observed_run(engine, obs))
+            assert second == first, f"tracing drifted for {protocol}"
 
 
 def second_equal(engine, first) -> bool:
