@@ -13,19 +13,22 @@ frame leaves any L1 copies in place.
 State layout
 ------------
 
-Line metadata lives in three preallocated columns indexed by frame:
+Line metadata lives in two preallocated columns indexed by frame:
 ``block_at`` is an ``array('q')`` of resident block numbers
-(:data:`EMPTY` = −1 marks a free frame) and ``writable_at`` /
-``dirty_at`` are parallel ``bytearray`` flags.  The miss path talks to
-the cache through packed-int probes (:meth:`probe`, :meth:`victim_probe`,
-:meth:`invalidate_probe`) that never allocate; the object-returning
-methods (:meth:`lookup`, :meth:`insert`, …) remain for cold paths and
-tests and return **snapshots** — mutating a returned line does not write
-through.
+(:data:`EMPTY` = −1 marks a free frame) and ``writable_at`` a parallel
+``bytearray`` flag.  There is no separate dirty flag: a line is only
+ever dirty while it is writable (a write takes write permission, and a
+downgrade or invalidation clears both), so every "writable or dirty"
+test — the one that decides a write-back on eviction — is
+``writable``.  The miss path talks to the cache through int-returning
+probes (:meth:`probe`, :meth:`victim_probe`, :meth:`invalidate_probe`)
+that never allocate; the object-returning methods (:meth:`lookup`,
+:meth:`insert`, …) remain for cold paths and tests and return
+**snapshots** — mutating a returned line does not write through.
 
 A ``num_blocks`` of 0 models a machine with no block cache; a very large
 value models the paper's "infinite block cache" normalization baseline
-(``infinite`` keeps a dict of packed flags, since its frame space is
+(``infinite`` keeps a dict of writable flags, since its frame space is
 unbounded).
 """
 
@@ -39,20 +42,15 @@ from repro.common.errors import ConfigurationError
 #: Sentinel in ``block_at`` for a frame with no resident line.
 EMPTY = -1
 
-#: packed line flags (probe/victim_probe results)
-FLAG_WRITABLE = 1
-FLAG_DIRTY = 2
-
 
 class BlockCacheLine:
     """Read-only snapshot of one frame's metadata (cold paths only)."""
 
-    __slots__ = ("block", "writable", "dirty")
+    __slots__ = ("block", "writable")
 
-    def __init__(self, block: int, writable: bool, dirty: bool) -> None:
+    def __init__(self, block: int, writable: bool) -> None:
         self.block = block
         self.writable = writable
-        self.dirty = dirty
 
 
 class BlockCache:
@@ -69,7 +67,6 @@ class BlockCache:
         "_infinite",
         "block_at",
         "writable_at",
-        "dirty_at",
         "_inf_flags",
     )
 
@@ -86,8 +83,7 @@ class BlockCache:
         frames = 0 if infinite else num_blocks
         self.block_at: array = array("q", [EMPTY]) * frames
         self.writable_at: bytearray = bytearray(frames)
-        self.dirty_at: bytearray = bytearray(frames)
-        # Infinite variant: block -> packed flags (writable | dirty<<1).
+        # Infinite variant: block -> writable flag (0 or 1).
         self._inf_flags: Dict[int, int] = {}
 
     @classmethod
@@ -105,7 +101,6 @@ class BlockCache:
         if n:
             self.block_at[:] = array("q", [EMPTY]) * n
             self.writable_at[:] = bytes(n)
-            self.dirty_at[:] = bytes(n)
         self._inf_flags.clear()
 
     # ------------------------------------------------------------------
@@ -113,7 +108,8 @@ class BlockCache:
     # ------------------------------------------------------------------
 
     def probe(self, block: int) -> int:
-        """Flags of the resident line for ``block``, or −1 on a miss."""
+        """Writable flag (0 or 1) of the resident line for ``block``, or
+        −1 on a miss."""
         if self._infinite:
             return self._inf_flags.get(block, -1)
         if self.num_blocks == 0:
@@ -121,18 +117,18 @@ class BlockCache:
         idx = block & self.mask
         if self.block_at[idx] != block:
             return -1
-        return self.writable_at[idx] | (self.dirty_at[idx] << 1)
+        return self.writable_at[idx]
 
     def victim_probe(self, block: int) -> int:
         """Line that inserting ``block`` would displace, packed as
-        ``resident_block << 2 | writable | dirty << 1`` (−1 if free)."""
+        ``resident_block << 1 | writable`` (−1 if free)."""
         if self._infinite or self.num_blocks == 0:
             return -1
         idx = block & self.mask
         resident = self.block_at[idx]
         if resident == EMPTY or resident == block:
             return -1
-        return (resident << 2) | self.writable_at[idx] | (self.dirty_at[idx] << 1)
+        return (resident << 1) | self.writable_at[idx]
 
     def fill(self, block: int, writable: bool) -> None:
         """Install ``block`` clean, overwriting the frame.
@@ -143,17 +139,16 @@ class BlockCache:
         access refetches).
         """
         if self._infinite:
-            self._inf_flags[block] = FLAG_WRITABLE if writable else 0
+            self._inf_flags[block] = 1 if writable else 0
             return
         if self.num_blocks == 0:
             return
         idx = block & self.mask
         self.block_at[idx] = block
         self.writable_at[idx] = 1 if writable else 0
-        self.dirty_at[idx] = 0
 
     def invalidate_probe(self, block: int) -> int:
-        """Drop ``block``; returns its flags (−1 if absent)."""
+        """Drop ``block``; returns its writable flag (−1 if absent)."""
         if self._infinite:
             return self._inf_flags.pop(block, -1)
         if self.num_blocks == 0:
@@ -161,17 +156,17 @@ class BlockCache:
         idx = block & self.mask
         if self.block_at[idx] != block:
             return -1
-        flags = self.writable_at[idx] | (self.dirty_at[idx] << 1)
+        flags = self.writable_at[idx]
         self.block_at[idx] = EMPTY
         self.writable_at[idx] = 0
-        self.dirty_at[idx] = 0
         return flags
 
     def mark_dirty(self, block: int) -> bool:
-        """Mark a resident line dirty (and writable); True if present."""
+        """A resident line was written: it becomes writable (a dirty
+        line is always writable).  True if present."""
         if self._infinite:
             if block in self._inf_flags:
-                self._inf_flags[block] = FLAG_WRITABLE | FLAG_DIRTY
+                self._inf_flags[block] = 1
                 return True
             return False
         if self.num_blocks == 0:
@@ -180,7 +175,6 @@ class BlockCache:
         if self.block_at[idx] != block:
             return False
         self.writable_at[idx] = 1
-        self.dirty_at[idx] = 1
         return True
 
     def downgrade(self, block: int) -> None:
@@ -194,30 +188,24 @@ class BlockCache:
         idx = block & self.mask
         if self.block_at[idx] == block:
             self.writable_at[idx] = 0
-            self.dirty_at[idx] = 0
 
     # ------------------------------------------------------------------
     # snapshot API (cold paths, OS services, tests)
     # ------------------------------------------------------------------
-
-    def _snapshot(self, block: int, flags: int) -> BlockCacheLine:
-        return BlockCacheLine(
-            block, bool(flags & FLAG_WRITABLE), bool(flags & FLAG_DIRTY)
-        )
 
     def lookup(self, block: int) -> Optional[BlockCacheLine]:
         """Snapshot of the resident line for ``block`` (None on a miss)."""
         flags = self.probe(block)
         if flags < 0:
             return None
-        return self._snapshot(block, flags)
+        return BlockCacheLine(block, bool(flags))
 
     def victim_for(self, block: int) -> Optional[BlockCacheLine]:
         """Snapshot of the line inserting ``block`` would displace."""
         packed = self.victim_probe(block)
         if packed < 0:
             return None
-        return self._snapshot(packed >> 2, packed & 3)
+        return BlockCacheLine(packed >> 1, bool(packed & 1))
 
     def insert(self, block: int, writable: bool) -> Optional[BlockCacheLine]:
         """Install ``block``; returns a snapshot of the displaced line."""
@@ -230,7 +218,7 @@ class BlockCache:
         flags = self.invalidate_probe(block)
         if flags < 0:
             return None
-        return self._snapshot(block, flags)
+        return BlockCacheLine(block, bool(flags))
 
     def resident_blocks(self) -> List[int]:
         if self._infinite:

@@ -12,11 +12,14 @@ BLOCK_WRITABLE  present with write permission (node has ownership)
 =============== ==================================================
 
 Tags for one page live in a flat ``bytearray`` of ``blocks_per_page``
-entries (and a parallel one for the dirty bits), so the simulator's
-tag probe is a dict lookup for the page followed by a C-speed byte
-load — no inner per-offset dict.  A zero byte *is* BLOCK_INVALID and a
-fresh frame is all-zero, which makes mapping a page a single
-allocation.
+entries, so the simulator's tag probe is a dict lookup for the page
+followed by a C-speed byte load — no inner per-offset dict.  A zero
+byte *is* BLOCK_INVALID and a fresh frame is all-zero, which makes
+mapping a page a single allocation.
+
+There is no separate dirty bit: a locally written block is always
+BLOCK_WRITABLE, and S-COMA replacement flushes every *valid* block, so
+no result depends on which writable blocks were actually written.
 """
 
 from __future__ import annotations
@@ -42,37 +45,32 @@ class FineGrainTags:
     fixed-width hardware structure, not a sparse map.
     """
 
-    __slots__ = ("blocks_per_page", "rows", "_dirty")
+    __slots__ = ("blocks_per_page", "rows")
 
     def __init__(self, blocks_per_page: int) -> None:
         if blocks_per_page <= 0:
             raise ProtocolError("blocks_per_page must be positive")
         self.blocks_per_page = blocks_per_page
         # page -> per-offset tag bytes; a zero byte == BLOCK_INVALID.
-        # ``rows`` is public on purpose: the engine probes it directly
-        # on the S-COMA miss path (dict get + byte load, no method
-        # call), and the dict keeps its identity for the lifetime of
-        # the store (reset() clears it in place).
+        # ``rows`` is public on purpose: the compiled core probes and
+        # writes it directly on the S-COMA miss path (dict get + byte
+        # load/store, no method call), and the dict keeps its identity
+        # for the lifetime of the store (reset() clears it in place).
         self.rows: Dict[int, bytearray] = {}
-        # page -> per-offset dirty flags (1 == locally dirty)
-        self._dirty: Dict[int, bytearray] = {}
 
     def reset(self) -> None:
         """Drop every page's tags (fresh-machine state for a re-run)."""
         self.rows.clear()
-        self._dirty.clear()
 
     def map_page(self, page: int) -> None:
         """Create all-invalid tags for a freshly mapped page."""
         if page in self.rows:
             raise ProtocolError(f"page {page} already has fine-grain tags")
         self.rows[page] = bytearray(self.blocks_per_page)
-        self._dirty[page] = bytearray(self.blocks_per_page)
 
     def unmap_page(self, page: int) -> None:
         """Drop tags for an unmapped page."""
         self.rows.pop(page, None)
-        self._dirty.pop(page, None)
 
     def is_mapped(self, page: int) -> bool:
         return page in self.rows
@@ -95,25 +93,6 @@ class FineGrainTags:
         if tags is None:
             raise ProtocolError(f"page {page} is not S-mapped on this node")
         tags[offset] = state
-        if state == BLOCK_INVALID:
-            self._dirty[page][offset] = 0
-
-    def mark_dirty(self, page: int, offset: int) -> None:
-        """Record that the local page-cache copy of a block is dirty."""
-        if offset < 0:
-            raise IndexError(f"negative block offset {offset}")
-        dirty = self._dirty.get(page)
-        if dirty is None:
-            raise ProtocolError(f"page {page} is not S-mapped on this node")
-        dirty[offset] = 1
-
-    def clear_dirty(self, page: int, offset: int) -> None:
-        """Mark a block clean again (its data was written back home)."""
-        if offset < 0:
-            raise IndexError(f"negative block offset {offset}")
-        dirty = self._dirty.get(page)
-        if dirty is not None:
-            dirty[offset] = 0
 
     def valid_offsets(self, page: int) -> List[int]:
         """Offsets of all present (readonly or writable) blocks."""
@@ -121,13 +100,6 @@ class FineGrainTags:
         if not tags:
             return []
         return [off for off, state in enumerate(tags) if state]
-
-    def dirty_offsets(self, page: int) -> List[int]:
-        """Offsets of blocks whose local copy must be flushed home."""
-        dirty = self._dirty.get(page)
-        if not dirty:
-            return []
-        return [off for off, flag in enumerate(dirty) if flag]
 
     def valid_count(self, page: int) -> int:
         tags = self.rows.get(page)

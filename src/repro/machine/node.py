@@ -1,6 +1,6 @@
 """One SMP node: processors with private L1s, a memory bus, and the
 remote-access device (block cache, page cache, fine-grain tags,
-translation table, reactive counters).
+reactive counters).
 
 Which of these components a given protocol actually exercises is decided
 by the protocol policy; the node always carries all of them (an R-NUMA
@@ -26,8 +26,6 @@ from repro.common.params import SystemConfig
 from repro.common.stats import NodeStats
 from repro.interconnect.resource import BusyResource
 from repro.vm.page_table import PageTable
-from repro.vm.tlb import Tlb
-from repro.vm.translation import TranslationTable
 
 
 class Node:
@@ -38,15 +36,12 @@ class Node:
         "l1s",
         "l1_arrays",
         "peer_l1s",
-        "peer_arrays",
         "tag_rows",
-        "tlbs",
         "bus",
         "block_cache",
         "bc_cols",
         "page_cache",
         "tags",
-        "xlat",
         "page_table",
         "page_state",
         "refetch_counters",
@@ -70,18 +65,13 @@ class Node:
             [l1 for j, l1 in enumerate(self.l1s) if j != i]
             for i in range(cpus)
         ]
-        # The engine's snoop/invalidate loops read raw L1 columns:
-        # precompute (mask, block_at, state_at) triples — all slots and
-        # per-slot peers — so a loop iteration costs zero attribute
-        # loads.  The arrays keep their identity for the node's
-        # lifetime (L1Cache.reset zeroes in place), so these aliases
-        # stay live.
+        # The Python-side flush/invalidate loops (OS services, the
+        # dict-backed block-cache install) read raw L1 columns:
+        # precompute the (mask, block_at, state_at) triples so a loop
+        # iteration costs zero attribute loads.  The arrays keep their
+        # identity for the node's lifetime (L1Cache.reset zeroes in
+        # place), so these aliases stay live.
         self.l1_arrays = [(l1.mask, l1.block_at, l1.state_at) for l1 in self.l1s]
-        self.peer_arrays = [
-            [self.l1_arrays[j] for j in range(cpus) if j != i]
-            for i in range(cpus)
-        ]
-        self.tlbs: List[Tlb] = [Tlb() for _ in range(cpus)]
         self.bus = BusyResource(f"bus{node_id}")
 
         if config.protocol == "ideal":
@@ -97,7 +87,7 @@ class Node:
         if bc.is_infinite or bc.num_blocks == 0:
             self.bc_cols = None
         else:
-            self.bc_cols = (bc.mask, bc.block_at, bc.writable_at, bc.dirty_at)
+            self.bc_cols = (bc.mask, bc.block_at, bc.writable_at)
 
         if config.protocol in ("scoma", "rnuma"):
             frames = caches.page_cache_frames(space)
@@ -108,7 +98,6 @@ class Node:
         # The tag store's public row map, cached one attribute hop
         # closer (same identity-stability argument as page_state).
         self.tag_rows = self.tags.rows
-        self.xlat = TranslationTable()
         self.page_table = PageTable()
         # The page table's public mapping column, cached one attribute
         # hop closer: the engine probes it on every miss.  PageTable
@@ -134,13 +123,10 @@ class Node:
         """
         for l1 in self.l1s:
             l1.reset()
-        for tlb in self.tlbs:
-            tlb.reset()
         self.bus.reset()
         self.block_cache.reset()
         self.page_cache.reset()
         self.tags.reset()
-        self.xlat.reset()
         self.page_table.reset()
         self.refetch_counters.clear()
         self.coherence_lost.clear()

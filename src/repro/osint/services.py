@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.caches.finegrain import BLOCK_READONLY, BLOCK_WRITABLE
-from repro.coherence.states import EXCLUSIVE, INVALID, OWNED
+from repro.coherence.states import EXCLUSIVE, INVALID
 from repro.common.errors import ProtocolError
 from repro.machine.machine import Machine
 from repro.machine.node import Node
@@ -62,7 +62,7 @@ def replace_scoma_page(machine: Machine, node: Node, victim: int) -> int:
 
     Flushes every locally valid block back to the home node (the
     directory forgets this node held them), invalidates L1 copies,
-    shoots down the node's TLBs, and unmaps the page.
+    counts the node's TLB shootdown, and unmaps the page.
 
     Returns the number of blocks flushed (the caller folds it into the
     page-operation cost).
@@ -81,11 +81,8 @@ def replace_scoma_page(machine: Machine, node: Node, victim: int) -> int:
             if lblocks[idx] == block:
                 lblocks[idx] = -1
                 lstates[idx] = INVALID
-    for tlb in node.tlbs:
-        tlb.shoot_down(victim)
     node.stats.tlb_shootdowns += 1
     node.tags.unmap_page(victim)
-    node.xlat.remove(victim)
     node.page_cache.evict(victim)
     node.page_table.unmap(victim)
     node.stats.page_replacements += 1
@@ -108,20 +105,17 @@ def allocate_scoma_page(machine: Machine, node: Node, page: int) -> int:
         flushed = replace_scoma_page(machine, node, victim)
     node.page_cache.insert(page)
     node.tags.map_page(page)
-    node.xlat.install(page)
     node.page_table.map_scoma(page)
-    for tlb in node.tlbs:
-        tlb.fill(page)
     node.stats.page_faults += 1
     node.stats.page_allocations += 1
     return machine.config.costs.page_op_cost(flushed)
 
 
-def _collect_held_blocks(node: Node, page: int, space) -> List[Tuple[int, bool, bool]]:
+def _collect_held_blocks(node: Node, page: int, space) -> List[Tuple[int, bool]]:
     """All blocks of ``page`` the node currently caches.
 
-    Returns (block, writable, dirty) triples, merging block-cache lines
-    with L1-only copies (read-only blocks may live in L1s without a
+    Returns (block, writable) pairs, merging block-cache lines with
+    L1-only copies (read-only blocks may live in L1s without a
     block-cache frame, per the relaxed-inclusion policy).
     """
     base = page << (space.page_shift - space.block_shift)
@@ -130,29 +124,21 @@ def _collect_held_blocks(node: Node, page: int, space) -> List[Tuple[int, bool, 
     bc = node.block_cache
     bcb = getattr(bc, "block_at", None)
     if bcb is not None and not bc.is_infinite and bc.num_blocks:
-        bcw, bcd = bc.writable_at, bc.dirty_at
+        bcw = bc.writable_at
         for idx, block in _page_hits(bcb, bc.num_blocks, bc.mask, base, bpp):
-            held[block] = [bcw[idx] != 0, bcd[idx] != 0]
+            held[block] = bcw[idx] != 0
     else:
         # Infinite, absent, or a legacy (frozen-reference) cache without
         # the packed columns: go through the snapshot API.
         for block in range(base, base + bpp):
             line = bc.lookup(block)
             if line is not None:
-                held[block] = [line.writable, line.dirty]
-    # MOESI encoding: writable iff state >= EXCLUSIVE, dirty iff >= OWNED.
+                held[block] = line.writable
+    # MOESI encoding: writable iff state >= EXCLUSIVE.
     for lmask, lblocks, lstates in node.l1_arrays:
         for idx, block in _page_hits(lblocks, lmask + 1, lmask, base, bpp):
-            state = lstates[idx]
-            writable = state >= EXCLUSIVE
-            dirty = state >= OWNED
-            entry = held.get(block)
-            if entry is not None:
-                entry[0] = entry[0] or writable
-                entry[1] = entry[1] or dirty
-            else:
-                held[block] = [writable, dirty]
-    return [(b, w, d) for b, (w, d) in held.items()]
+            held[block] = held.get(block, False) or lstates[idx] >= EXCLUSIVE
+    return list(held.items())
 
 
 def relocate_page_to_scoma(machine: Machine, node: Node, page: int) -> int:
@@ -171,8 +157,8 @@ def relocate_page_to_scoma(machine: Machine, node: Node, page: int) -> int:
     2 toward 3) the held blocks are flushed back to the home node
     instead, and the page starts life in the page cache empty.
 
-    The L1 lines and TLB entries must be invalidated either way because
-    the page's physical address changes.
+    The L1 lines must be invalidated and the TLBs shot down either way
+    because the page's physical address changes.
     """
     space = machine.config.space
     if node.page_cache.capacity == 0:
@@ -190,21 +176,17 @@ def relocate_page_to_scoma(machine: Machine, node: Node, page: int) -> int:
     node.page_table.unmap(page)
     node.page_cache.insert(page)
     node.tags.map_page(page)
-    node.xlat.install(page)
     node.page_table.map_scoma(page)
 
     off_mask = space.blocks_per_page - 1
     tag_row = node.tags.rows[page]
-    dirty_row = node.tags._dirty[page]
     bc = node.block_cache
     bc_invalidate = getattr(bc, "invalidate_probe", None) or bc.invalidate
     l1_arrays = node.l1_arrays
-    for block, writable, dirty in held:
+    for block, writable in held:
         off = block & off_mask
         if move_locally:
             tag_row[off] = BLOCK_WRITABLE if writable else BLOCK_READONLY
-            if dirty:
-                dirty_row[off] = 1
         else:
             # Flush home: the node relinquishes the block entirely and
             # will refetch it on demand.
@@ -216,9 +198,6 @@ def relocate_page_to_scoma(machine: Machine, node: Node, page: int) -> int:
             if lblocks[idx] == block:
                 lblocks[idx] = -1
                 lstates[idx] = INVALID
-    for tlb in node.tlbs:
-        tlb.shoot_down(page)
-        tlb.fill(page)
     node.stats.tlb_shootdowns += 1
 
     node.refetch_counters.pop(page, None)

@@ -17,8 +17,8 @@
  *
  * Everything else is a call into the canonical Python method: the
  * OS/policy services (on_page_fault, on_refetch, record_refetch,
- * resolve_home, map_local), page-cache/tag/block-cache methods,
- * Network.one_way_delay and Network._traverse,
+ * resolve_home, map_local), page-cache and dict-backed block-cache
+ * methods, Network.one_way_delay and Network._traverse,
  * SimulationEngine._block_cache_install for dict-backed block caches,
  * and the Directory requests wherever the int64 column transcription
  * does not apply (inexact representations, and any machine wider than
@@ -102,8 +102,8 @@ static PyObject *stat_str[N_STATS];
 static PyObject *s_free_at, *s_busy_cycles, *s_transactions, *s_messages,
     *s_round_trips, *s_stats, *s_barriers_crossed;
 static PyObject *s_on_page_fault, *s_on_refetch, *s_record_refetch,
-    *s_map_local, *s_touch_hit, *s_touch_miss, *s_set, *s_mark_dirty,
-    *s_clear_dirty, *s_probe, *s_invalidate_probe, *s_downgrade,
+    *s_map_local, *s_touch_hit, *s_touch_miss, *s_mark_dirty, *s_probe,
+    *s_invalidate_probe, *s_downgrade,
     *s_writeback, *s_read_request, *s_write_request, *s_home_write_access,
     *s_one_way_delay, *s_traverse, *s_block_cache_install, *s_before_miss,
     *s_after_miss;
@@ -120,14 +120,14 @@ typedef struct {
 } Busy;
 
 typedef struct {
-    PyObject *node, *stats, *pmap, *page_table, *coh, *tag_rows, *tags,
-        *bc, *pc, *bus_obj, *ni_obj, *rad_obj;
+    PyObject *node, *stats, *pmap, *page_table, *coh, *tag_rows, *bc, *pc,
+        *bus_obj, *ni_obj, *rad_obj;
     PyObject *bit; /* 1 << node id, any width */
     int has_cols;
     int reorders_on_hit;
     int64_t bc_mask;
     int64_t *bc_blocks;
-    uint8_t *bc_writ, *bc_dirt;
+    uint8_t *bc_writ;
     L1 *l1;
     long long st[N_STATS];
     Busy bus, ni, rad;
@@ -608,7 +608,6 @@ invalidate_node_block(Core *c, int victim, Keys *k)
         if (v->bc_blocks[idx] == b) {
             v->bc_blocks[idx] = EMPTY;
             v->bc_writ[idx] = 0;
-            v->bc_dirt[idx] = 0;
             had = 1;
         }
     }
@@ -626,14 +625,7 @@ invalidate_node_block(Core *c, int victim, Keys *k)
     if (row != NULL) {
         int64_t off = b & c->bpp_mask;
         if (row[off] != BLOCK_INVALID) {
-            /* tags.set keeps the dirty-bit bookkeeping consistent. */
-            PyObject *offk = PyLong_FromLongLong(off);
-            PyObject *args[3] = {gkey(k), offk, PyLong_FromLong(BLOCK_INVALID)};
-            int rc = call0(v->tags, s_set, args, 3);
-            Py_XDECREF(offk);
-            Py_XDECREF(args[2]);
-            if (rc < 0)
-                return -1;
+            row[off] = BLOCK_INVALID;
             had = 1;
         }
     }
@@ -651,10 +643,8 @@ downgrade_node(Core *c, int owner, Keys *k)
     share_l1_copies(c, v, b);
     if (v->has_cols) {
         int64_t idx = b & v->bc_mask;
-        if (v->bc_blocks[idx] == b) {
+        if (v->bc_blocks[idx] == b)
             v->bc_writ[idx] = 0;
-            v->bc_dirt[idx] = 0;
-        }
     }
     else {
         PyObject *args[1] = {bkey(k)};
@@ -666,16 +656,8 @@ downgrade_node(Core *c, int owner, Keys *k)
         return -1;
     if (row != NULL) {
         int64_t off = b & c->bpp_mask;
-        if (row[off] == BLOCK_WRITABLE) {
+        if (row[off] == BLOCK_WRITABLE)
             row[off] = BLOCK_READONLY;
-            /* Data went home; the local copy is now clean. */
-            PyObject *offk = PyLong_FromLongLong(off);
-            PyObject *args[2] = {gkey(k), offk};
-            int rc = call0(v->tags, s_clear_dirty, args, 2);
-            Py_XDECREF(offk);
-            if (rc < 0)
-                return -1;
-        }
     }
     return 0;
 }
@@ -952,42 +934,41 @@ is_scoma(Node *n, Keys *k, int *out)
     return 0;
 }
 
-/* Record a fetched block in the page-cache tags and LRM order. */
+/* Record a fetched block in the page-cache tags and LRM order.  The
+ * page is S-mapped, so it must have a tag row (FineGrainTags.set
+ * raises the same error). */
 static int
 scoma_install(Core *c, Node *n, Keys *k, int writable)
 {
-    PyObject *offk = PyLong_FromLongLong(k->b & c->bpp_mask);
-    PyObject *stk = PyLong_FromLong(writable ? BLOCK_WRITABLE : BLOCK_READONLY);
-    PyObject *args[3] = {gkey(k), offk, stk};
-    int rc = call0(n->tags, s_set, args, 3);
-    Py_XDECREF(offk);
-    Py_XDECREF(stk);
-    if (rc < 0)
+    uint8_t *row;
+    if (tag_row(n, k, &row) < 0)
         return -1;
+    if (row == NULL) {
+        PyObject *errors = PyImport_ImportModule("repro.common.errors");
+        PyObject *exc = errors != NULL
+            ? PyObject_GetAttrString(errors, "ProtocolError") : NULL;
+        Py_XDECREF(errors);
+        if (exc != NULL) {
+            PyErr_Format(exc, "page %lld is not S-mapped on this node",
+                         (long long)k->g);
+            Py_DECREF(exc);
+        }
+        return -1;
+    }
+    row[k->b & c->bpp_mask] = writable ? BLOCK_WRITABLE : BLOCK_READONLY;
     PyObject *targs[1] = {gkey(k)};
     return call0(n->pc, s_touch_miss, targs, 1);
 }
 
-static int
-tags_mark_dirty(Core *c, Node *n, PyObject *gk, int64_t b)
-{
-    PyObject *offk = PyLong_FromLongLong(b & c->bpp_mask);
-    PyObject *args[2] = {gk, offk};
-    int rc = call0(n->tags, s_mark_dirty, args, 2);
-    Py_XDECREF(offk);
-    return rc;
-}
-
-/* The column-path block-cache install (writable lines install dirty:
- * the fresh line is written immediately). */
+/* The column-path block-cache install (a writable line is the one a
+ * write fetched: it is written immediately). */
 static int
 bc_install_cols(Core *c, int nid, int64_t b, int writable, long long now)
 {
     Node *n = &c->nodes[nid];
     int64_t bidx = b & n->bc_mask;
     int64_t resident = n->bc_blocks[bidx];
-    if (resident >= 0 && resident != b
-        && (n->bc_writ[bidx] || n->bc_dirt[bidx])) {
+    if (resident >= 0 && resident != b && n->bc_writ[bidx]) {
         /* Evicting a read-write frame forces the L1 copies out. */
         drop_l1_copies(c, n, resident, -1);
         if (write_back(c, nid, resident, now) < 0)
@@ -995,7 +976,6 @@ bc_install_cols(Core *c, int nid, int64_t b, int writable, long long now)
     }
     n->bc_blocks[bidx] = b;
     n->bc_writ[bidx] = writable ? 1 : 0;
-    n->bc_dirt[bidx] = writable ? 1 : 0;
     return 0;
 }
 
@@ -1188,7 +1168,7 @@ miss_body(Core *c, int nid, int slot, Keys *k, int w, int st, long long now,
             if (n->has_cols) {
                 int64_t bidx = b & n->bc_mask;
                 if (n->bc_blocks[bidx] == b)
-                    flags = n->bc_writ[bidx] | (n->bc_dirt[bidx] << 1);
+                    flags = n->bc_writ[bidx];
                 else
                     flags = -1;
             }
@@ -1363,10 +1343,8 @@ miss_body(Core *c, int nid, int slot, Keys *k, int w, int st, long long now,
                 }
                 if (n->has_cols) {
                     int64_t bidx = b & n->bc_mask;
-                    if (n->bc_blocks[bidx] == b) {
+                    if (n->bc_blocks[bidx] == b)
                         n->bc_writ[bidx] = 1;
-                        n->bc_dirt[bidx] = 1;
-                    }
                 }
                 else {
                     PyObject *args[1] = {k->bk};
@@ -1436,8 +1414,6 @@ miss_body(Core *c, int nid, int slot, Keys *k, int w, int st, long long now,
                     if (call0(n->pc, s_touch_hit, args, 1) < 0)
                         return -1;
                 }
-                if (tags_mark_dirty(c, n, k->gk, b) < 0)
-                    return -1;
             }
             else {
                 int holds_copy = st != INVALID || tag == BLOCK_READONLY;
@@ -1449,12 +1425,8 @@ miss_body(Core *c, int nid, int slot, Keys *k, int w, int st, long long now,
                 lat += rf;
                 if (is_scoma(n, k, &scoma) < 0)
                     return -1;
-                if (scoma) {
-                    if (scoma_install(c, n, k, 1) < 0)
-                        return -1;
-                    if (tags_mark_dirty(c, n, k->gk, b) < 0)
-                        return -1;
-                }
+                if (scoma && scoma_install(c, n, k, 1) < 0)
+                    return -1;
             }
         }
         /* A write leaves this CPU's L1 as the only copy on the node. */
@@ -1483,7 +1455,6 @@ miss_body(Core *c, int nid, int slot, Keys *k, int w, int st, long long now,
                     int64_t vidx = vb & n->bc_mask;
                     if (n->bc_blocks[vidx] == vb) {
                         n->bc_writ[vidx] = 1;
-                        n->bc_dirt[vidx] = 1;
                     }
                     else {
                         /* No block-cache frame: write straight home. */
@@ -1507,10 +1478,7 @@ miss_body(Core *c, int nid, int slot, Keys *k, int w, int st, long long now,
                     }
                 }
             }
-            else if (vmapping == MAP_SCOMA) {
-                rc = tags_mark_dirty(c, n, vgk, vb);
-            }
-            /* MAP_LOCAL: local memory absorbs the write-back. */
+            /* MAP_SCOMA/MAP_LOCAL: local memory absorbs the write-back. */
             Py_DECREF(vgk);
             if (rc < 0)
                 return -1;
@@ -1598,7 +1566,6 @@ load_node(Core *c, Node *n, PyObject *node, int nid)
         || (n->page_table = attr(node, "page_table")) == NULL
         || (n->coh = attr(node, "coherence_lost")) == NULL
         || (n->tag_rows = attr(node, "tag_rows")) == NULL
-        || (n->tags = attr(node, "tags")) == NULL
         || (n->bc = attr(node, "block_cache")) == NULL
         || (n->pc = attr(node, "page_cache")) == NULL
         || (n->bus_obj = attr(node, "bus")) == NULL)
@@ -1640,11 +1607,10 @@ load_node(Core *c, Node *n, PyObject *node, int nid)
             return -1;
         long long mask;
         int rc = -1;
-        if (PyTuple_GET_SIZE(cols) == 4
+        if (PyTuple_GET_SIZE(cols) == 3
             && as_ll(PyTuple_GET_ITEM(cols, 0), &mask) == 0
             && get_buffer(c, PyTuple_GET_ITEM(cols, 1), 8, 1, (void **)&n->bc_blocks, NULL) == 0
-            && get_buffer(c, PyTuple_GET_ITEM(cols, 2), 1, 1, (void **)&n->bc_writ, NULL) == 0
-            && get_buffer(c, PyTuple_GET_ITEM(cols, 3), 1, 1, (void **)&n->bc_dirt, NULL) == 0)
+            && get_buffer(c, PyTuple_GET_ITEM(cols, 2), 1, 1, (void **)&n->bc_writ, NULL) == 0)
             rc = 0;
         Py_DECREF(cols);
         if (rc < 0) {
@@ -1702,7 +1668,6 @@ free_core(Core *c)
             Py_XDECREF(n->page_table);
             Py_XDECREF(n->coh);
             Py_XDECREF(n->tag_rows);
-            Py_XDECREF(n->tags);
             Py_XDECREF(n->bc);
             Py_XDECREF(n->pc);
             Py_XDECREF(n->bus_obj);
@@ -2215,9 +2180,7 @@ PyInit__core(void)
     INTERN(s_map_local, "map_local");
     INTERN(s_touch_hit, "touch_hit");
     INTERN(s_touch_miss, "touch_miss");
-    INTERN(s_set, "set");
     INTERN(s_mark_dirty, "mark_dirty");
-    INTERN(s_clear_dirty, "clear_dirty");
     INTERN(s_probe, "probe");
     INTERN(s_invalidate_probe, "invalidate_probe");
     INTERN(s_downgrade, "downgrade");

@@ -276,15 +276,15 @@ class SimulationEngine:
     def _block_cache_install(self, node: Node, b: int, g: int, writable: bool, now: int) -> None:
         """Install a freshly fetched block, evicting as needed.
 
-        Evicting a read-write (writable/dirty) frame forces the L1
+        Evicting a writable (possibly dirty) frame forces the L1
         copies out (inclusion) and notifies the home via a write-back;
         read-only frames are dropped silently and L1 copies survive
         (relaxed inclusion, paper Section 4).
         """
         bc = node.block_cache
         victim = bc.victim_probe(b)
-        if victim >= 0 and victim & 3:
-            vb = victim >> 2
+        if victim >= 0 and victim & 1:
+            vb = victim >> 1
             for lmask, lblocks, lstates in node.l1_arrays:
                 idx = vb & lmask
                 if lblocks[idx] == vb:

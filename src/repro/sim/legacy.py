@@ -1,8 +1,8 @@
 """Frozen transcription of the pre-columnar memory-system structures.
 
 The columnar miss path (bitmask directory, array-backed block/page
-caches, bytearray TLBs) replaced the set/dict/object structures these
-classes preserve.  They are the structure-level differential oracle —
+caches) replaced the set/dict/object structures these classes
+preserve.  They are the structure-level differential oracle —
 the same role :class:`repro.sim.reference.ReferenceEngine` plays for
 the scheduler: the new layouts are correct precisely when they are
 observationally identical to these under any operation stream (see
@@ -16,7 +16,7 @@ the semantics the packed layouts must preserve.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, ProtocolError
 
@@ -335,88 +335,3 @@ class LegacyPageCache:
         if self.policy == "lru" and page in self._frames:
             del self._frames[page]
             self._frames[page] = None
-
-
-# ----------------------------------------------------------------------
-# TLB (set of pages) and RAD translation table (two dicts)
-# ----------------------------------------------------------------------
-
-
-class LegacyTlb:
-    __slots__ = ("_entries", "fills", "shootdowns")
-
-    def __init__(self) -> None:
-        self._entries: Set[int] = set()
-        self.fills = 0
-        self.shootdowns = 0
-
-    def reset(self) -> None:
-        self._entries.clear()
-        self.fills = 0
-        self.shootdowns = 0
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._entries
-
-    def fill(self, page: int) -> None:
-        if page not in self._entries:
-            self._entries.add(page)
-            self.fills += 1
-
-    def shoot_down(self, page: int) -> bool:
-        self.shootdowns += 1
-        if page in self._entries:
-            self._entries.remove(page)
-            return True
-        return False
-
-    def flush(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class LegacyTranslationTable:
-    __slots__ = ("_frame_of_page", "_page_of_frame", "_next_frame", "_free_frames")
-
-    def __init__(self) -> None:
-        self._frame_of_page: Dict[int, int] = {}
-        self._page_of_frame: Dict[int, int] = {}
-        self._next_frame = 0
-        self._free_frames: list = []
-
-    def reset(self) -> None:
-        self._frame_of_page.clear()
-        self._page_of_frame.clear()
-        self._next_frame = 0
-        del self._free_frames[:]
-
-    def install(self, page: int) -> int:
-        if page in self._frame_of_page:
-            raise ProtocolError(f"page {page} already has a translation entry")
-        frame = self._free_frames.pop() if self._free_frames else self._next_frame
-        if frame == self._next_frame:
-            self._next_frame += 1
-        self._frame_of_page[page] = frame
-        self._page_of_frame[frame] = page
-        return frame
-
-    def remove(self, page: int) -> None:
-        frame = self._frame_of_page.pop(page, None)
-        if frame is None:
-            raise ProtocolError(f"page {page} has no translation entry")
-        del self._page_of_frame[frame]
-        self._free_frames.append(frame)
-
-    def frame_of(self, page: int) -> Optional[int]:
-        return self._frame_of_page.get(page)
-
-    def page_of(self, frame: int) -> Optional[int]:
-        return self._page_of_frame.get(frame)
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._frame_of_page
-
-    def __len__(self) -> int:
-        return len(self._frame_of_page)

@@ -1,7 +1,10 @@
 """Virtual-memory machinery: per-node page tables (the mapping decision
-CC-NUMA vs. S-COMA vs. unmapped is per node, per page), the S-COMA
-LPA<->GPA translation table, and a TLB model used for shootdown
-accounting.
+CC-NUMA vs. S-COMA vs. unmapped is per node, per page).
+
+TLB shootdowns and the RAD's LPA<->GPA translation are charged as the
+paper's fixed Table 2 page-operation costs (see
+:class:`repro.common.params.CostParams`); no result reads TLB contents
+or the translation table, so neither is modelled as state.
 """
 
 from repro.vm.page_table import (
@@ -11,8 +14,6 @@ from repro.vm.page_table import (
     MAP_UNMAPPED,
     PageTable,
 )
-from repro.vm.tlb import Tlb
-from repro.vm.translation import TranslationTable
 
 __all__ = [
     "MAP_CC",
@@ -20,6 +21,4 @@ __all__ = [
     "MAP_SCOMA",
     "MAP_UNMAPPED",
     "PageTable",
-    "Tlb",
-    "TranslationTable",
 ]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.common.records import Access, Barrier
 from repro.sim.engine import simulate
+from repro.vm.page_table import MAP_SCOMA
 
 from tests.conftest import tiny_config
 
@@ -76,10 +77,11 @@ def test_scoma_page_cache_never_over_capacity(traces):
     engine.run()
     for node in engine.machine.nodes:
         assert len(node.page_cache) <= node.page_cache.capacity
-        # Every resident page is S-mapped with tags and a translation.
-        for page in node.page_cache.resident_pages():
+        # Exactly the resident pages are S-mapped, each with tags.
+        resident = node.page_cache.resident_pages()
+        assert sorted(node.page_table.pages_mapped(MAP_SCOMA)) == sorted(resident)
+        for page in resident:
             assert node.tags.is_mapped(page)
-            assert page in node.xlat
 
 
 @given(traces=trace_pairs())

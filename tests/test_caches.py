@@ -106,7 +106,6 @@ class TestBlockCache:
         assert line is not None
         assert line.block == 9
         assert not line.writable
-        assert not line.dirty
 
     def test_conflict_eviction(self):
         bc = BlockCache(4)
@@ -119,8 +118,7 @@ class TestBlockCache:
         bc = BlockCache(4)
         bc.insert(2, writable=False)
         bc.mark_dirty(2)
-        line = bc.lookup(2)
-        assert line.dirty and line.writable
+        assert bc.lookup(2).writable  # a written line is writable
 
     def test_mark_dirty_absent_is_noop(self):
         BlockCache(4).mark_dirty(7)
@@ -242,23 +240,15 @@ class TestFineGrainTags:
         assert tags.valid_offsets(3) == [0, 5]
         assert tags.valid_count(3) == 2
 
-    def test_dirty_tracking(self):
-        tags = FineGrainTags(8)
-        tags.map_page(1)
-        tags.set(1, 2, BLOCK_WRITABLE)
-        tags.mark_dirty(1, 2)
-        assert tags.dirty_offsets(1) == [2]
-        tags.clear_dirty(1, 2)
-        assert tags.dirty_offsets(1) == []
-
     def test_invalidate_clears_dirty(self):
+        # A locally written block is held BLOCK_WRITABLE (there is no
+        # separate dirty bit), so invalidation leaves nothing to flush.
         tags = FineGrainTags(8)
         tags.map_page(1)
         tags.set(1, 2, BLOCK_WRITABLE)
-        tags.mark_dirty(1, 2)
         tags.set(1, 2, BLOCK_INVALID)
-        assert tags.dirty_offsets(1) == []
         assert tags.get(1, 2) == BLOCK_INVALID
+        assert tags.valid_offsets(1) == []
 
     def test_unmap(self):
         tags = FineGrainTags(8)
@@ -277,10 +267,6 @@ class TestFineGrainTags:
     def test_set_unmapped_raises(self):
         with pytest.raises(ProtocolError):
             FineGrainTags(8).set(1, 0, BLOCK_READONLY)
-
-    def test_mark_dirty_unmapped_raises(self):
-        with pytest.raises(ProtocolError):
-            FineGrainTags(8).mark_dirty(1, 0)
 
     def test_set_bad_state_raises(self):
         tags = FineGrainTags(8)

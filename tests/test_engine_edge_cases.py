@@ -3,8 +3,10 @@
 import pytest
 
 from repro.caches.finegrain import BLOCK_READONLY, BLOCK_WRITABLE
+from repro.common.errors import ProtocolError
 from repro.common.records import Access, Barrier
 from repro.sim.engine import SimulationEngine, simulate
+from repro.sim.reference import ReferenceEngine
 from repro.vm.page_table import MAP_SCOMA
 
 from tests.conftest import tiny_config
@@ -29,9 +31,11 @@ class TestSComaWriteUpgrade:
         assert node.tags.get(1, 0) == BLOCK_WRITABLE
 
     def test_write_marks_block_dirty(self, scoma_tiny):
+        # The written block's tag is its only dirty state: writable.
         engine, _ = run_engine(scoma_tiny, [Access(512, True)])
         node = engine.machine.nodes[0]
-        assert 0 in node.tags.dirty_offsets(1)
+        assert node.tags.get(1, 0) == BLOCK_WRITABLE
+        assert node.tags.valid_offsets(1) == [0]
 
     def test_invalidated_tag_write_refetches_as_coherence(self, scoma_tiny):
         # Node 0 writes; home writes back (invalidating node 0's tag);
@@ -41,6 +45,17 @@ class TestSComaWriteUpgrade:
         _, r = run_engine(scoma_tiny, trace0, trace1)
         assert r.total("refetches") == 0
         assert r.stats.node(0).coherence_misses == 1
+
+
+class TestSComaFillNeedsTagRow:
+    @pytest.mark.parametrize("engine_cls", [SimulationEngine, ReferenceEngine])
+    def test_fill_into_untagged_scoma_page_raises(self, scoma_tiny, engine_cls):
+        # A page mapped S-COMA without a page-cache frame has no tag
+        # row: the fill must fail loudly, not write nowhere.
+        engine = engine_cls(scoma_tiny, [[Access(512)], []], dict(HOMES2))
+        engine.machine.nodes[0].page_table.map_scoma(1)
+        with pytest.raises(ProtocolError, match="not S-mapped"):
+            engine.run()
 
 
 class TestRelocationMidFetch:

@@ -29,7 +29,7 @@ class TestNode:
     def test_cpu_count(self):
         node = Node(0, tiny_config("rnuma"))
         assert node.cpu_count == 1
-        assert len(node.l1s) == len(node.tlbs) == 1
+        assert len(node.l1s) == 1
 
 
 class TestMachine:
